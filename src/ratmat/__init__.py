@@ -56,7 +56,6 @@ from .matfun import (
     matfun_via_factorization,
     poly_apply,
     rational_apply,
-    vexp_derivative_scalar,
 )
 from .rom import (
     FinitePole,

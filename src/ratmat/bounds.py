@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .geometry import clip_polygon_halfplane, convex_hull, hull_boundary_samples
-from .interp import NodeList, partial_fractions
+from .interp import CONFLUENCE_TOL, NodeList, partial_fractions
 from .jets import ExpJet, FactoredPoly, ProductJet
 from .linalg import (
     EigenFactorization,
@@ -80,11 +80,15 @@ class BoundQuery:
         self.v = v
         self.f = ExpJet(t) if f is None else f
         self.N = len(nodes)
+        self._vexp = (VExpDerivative(v, self.f.t, self.N)
+                      if isinstance(self.f, ExpJet) else None)
         self.omega = nodes.omega()
 
         ev = self.fac.eigenvalues
         v_at_ev = v(ev)
-        if np.any(v_at_ev == 0) or not np.all(np.isfinite(v_at_ev)):
+        scale = np.abs(ev).max(initial=1.0)
+        floor = CONFLUENCE_TOL * abs(v.scale) * scale ** max(v.degree, 1)
+        if np.any(np.abs(v_at_ev) <= floor) or not np.all(np.isfinite(v_at_ev)):
             raise ValueError("pole meets spectrum: denominator vanishes on an eigenvalue")
         v_at_nodes = v(nodes.reps)
         if np.any(v_at_nodes == 0):
@@ -111,9 +115,8 @@ class BoundQuery:
 
     def vf_derivative(self, points):
         """(v f)^(N) at an array of points."""
-        if isinstance(self.f, ExpJet):
-            vd = VExpDerivative(self.v, self.f.t, self.N)
-            return vd(points)
+        if self._vexp is not None:
+            return self._vexp(points)
         return ProductJet(self.v, self.f).eval(points, self.N)[self.N]
 
     # -- grid machinery ----------------------------------------------------

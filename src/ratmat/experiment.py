@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import convex_hull, hull_boundary_samples
 from .interp import linearized_rational_fit
-from .linalg import EigenFactorization
+from .linalg import EigenFactorization, _norm1
 from .rom import (
     FinitePole,
     PoleSpec,
@@ -150,10 +150,6 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
     if np.any(inside):
         raise ValueError(f"fit pole {poles[np.nonzero(inside)[0][0]]} inside the rectangle")
     return poles
-
-
-def _norm1(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max())
 
 
 def _run_trial_full(config: ExperimentConfig, poles: np.ndarray, rng):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import scipy.linalg as sla
 
 from .interp import NewtonForm, RationalInterpolant, partial_fractions
@@ -72,8 +73,10 @@ def rational_apply(r: RationalInterpolant, A, b) -> np.ndarray:
 class VExpDerivative:
     """The N-th derivative of z -> v(z) e^(t z) in closed form.
 
-    (v exp_t)^(N)(z) = e^(t z) sum_{j<=min(N, deg v)} C(N,j) v^(j)(z) t^(N-j).
-    Vectorized over z.
+    (v exp_t)^(N)(z) = e^(t z) w(z) with the single polynomial
+    w = sum_{j<=min(N, deg v)} C(N,j) t^(N-j) v^(j) of degree deg v.  The
+    coefficients of w are precomputed here; a call is one Horner pass over z
+    times e^(t z).  Vectorized over z.
     """
 
     def __init__(self, v: FactoredPoly, t: float, N: int):
@@ -82,20 +85,17 @@ class VExpDerivative:
         self.v = v
         self.t = float(t)
         self.N = int(N)
-        jmax = min(self.N, v.degree)
-        self._weights = np.array(
-            [comb(self.N, j) * self.t ** (self.N - j) for j in range(jmax + 1)]
-        )
-        self._jmax = jmax
+        d = v.coeffs()
+        w = np.zeros(d.size, dtype=np.complex128)
+        for j in range(min(self.N, v.degree) + 1):
+            w[: d.size] += comb(self.N, j) * self.t ** (self.N - j) * d
+            d = npp.polyder(d)
+        self.w = w
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        derivs = self.v.eval(z, self._jmax)
-        acc = np.zeros(z.shape, dtype=np.complex128)
-        for j in range(self._jmax + 1):
-            acc += self._weights[j] * derivs[j]
-        return np.exp(self.t * z) * acc
-
-
-def vexp_derivative_scalar(vd: VExpDerivative, z: complex) -> complex:
-    return complex(vd(np.asarray(z)))
+        acc = np.full(z.shape, self.w[-1], dtype=np.complex128)
+        for c in self.w[-2::-1]:
+            acc *= z
+            acc += c
+        return acc * np.exp(self.t * z)

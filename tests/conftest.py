@@ -2,6 +2,12 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and are not timed out
+# on a slow or busy machine
+settings.register_profile("ratmat", derandomize=True, deadline=None)
+settings.load_profile("ratmat")
 
 # make the shared oracle helpers importable regardless of pytest import mode
 sys.path.insert(0, os.path.dirname(__file__))

@@ -15,11 +15,13 @@ from ratmat.bounds import (
     log_norm,
     numerical_range_box,
 )
+from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.geometry import convex_hull, polygon_contains
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, PolyJet
+from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, PolyJet
 from ratmat.linalg import EigenFactorization, eig_small
 from ratmat.matfun import rational_apply
+from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
 
 def _fac(rng, n, radius=1.0):
@@ -333,6 +335,48 @@ def test_bound_query_validation():
     bad = EigenFactorization.from_eigensystem(np.diag([1.0, 1e-13]), [1.0, 2.0])
     with pytest.raises(ValueError, match="unusable"):
         BoundQuery(bad, NodeList([0.0]), FactoredPoly((), (), 1.0))
+
+
+def test_bound_query_pole_near_spectrum_is_relative():
+    A = np.diag([1.0, 2.0])
+    with pytest.raises(ValueError, match="pole meets spectrum"):
+        BoundQuery(A, NodeList([0.0]), FactoredPoly([1.0 + 1e-15], [1], 1.0))
+    # the threshold scales with v, so a tiny scale alone is not a pole hit
+    q = BoundQuery(A, NodeList([0.0]), FactoredPoly([1.5], [1], 1e-20))
+    assert q.weights.shape == (2,)
+
+
+def test_bound_vector_exp_route_matches_generic_jet():
+    """e1 through the precomputed exp jet equals e1 through the Leibniz rule.
+
+    A system as the experiment draws it: n = 48 with its spectrum in the
+    default rectangle, the eight fitted poles, and the reduced spectrum as
+    nodes.  Passing e^z as a FunctionJet forces the generic ProductJet route.
+    """
+    rng = np.random.default_rng(331)
+    config = ExperimentConfig(n=48, trials=1)
+    poles = derive_poles(config)
+    r = config.rectangle
+    nu = (rng.uniform(r["re_min"], r["re_max"], config.n)
+          + 1j * rng.uniform(r["im_min"], r["im_max"], config.n))
+    S = (rng.uniform(-1.0, 1.0, (config.n, config.n))
+         + 1j * rng.uniform(-1.0, 1.0, (config.n, config.n)))
+    fac = EigenFactorization.from_eigensystem(S, nu)
+    A = (S * nu) @ fac.Sinv
+    b = rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
+    b /= np.linalg.norm(b)
+    spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
+    V, _ = build_krylov_basis(A, b, spec)
+    model = reduce(A, b, V, spec=spec)
+    v = spec.denominator("one")
+    N = len(model.reduced_nodes)
+    exp_jet = FunctionJet([np.exp] * (N + 1))
+
+    fast = bound_vector(BoundQuery(fac, model.reduced_nodes, v), b)
+    generic = bound_vector(BoundQuery(fac, model.reduced_nodes, v, f=exp_jet), b)
+    assert len(poles) == 8 and N == 9
+    assert abs(fast.value - generic.value) <= 1e-9 * generic.value
+    assert (fast.argmax_s, fast.argmax_mu) == (generic.argmax_s, generic.argmax_mu)
 
 
 def test_bound_query_custom_grids():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import central_difference, random_diagonalizable, taylor_expm
 from ratmat.interp import (
@@ -9,14 +11,13 @@ from ratmat.interp import (
     hermite_interpolate,
     rational_interpolate_fixed_denominator,
 )
-from ratmat.jets import ExpJet, FactoredPoly
+from ratmat.jets import ExpJet, FactoredPoly, ProductJet
 from ratmat.linalg import EigenFactorization, eig_small
 from ratmat.matfun import (
     VExpDerivative,
     matfun_via_factorization,
     poly_apply,
     rational_apply,
-    vexp_derivative_scalar,
 )
 
 
@@ -162,10 +163,45 @@ def test_vexp_derivative_difference_stencil():
             for _ in range(5):
                 z = complex(rng.standard_normal() + 1j * rng.standard_normal())
                 fd = central_difference(lambda w: lo(np.asarray(w)), z, 1e-5)
-                val = vexp_derivative_scalar(hi, z)
+                val = complex(hi(np.asarray(z)))
                 assert abs(val - fd) <= 1e-6 * max(1.0, abs(val))
 
 
 def test_vexp_derivative_order_validation():
     with pytest.raises(ValueError):
         VExpDerivative(FactoredPoly((), (), 1.0), 1.0, -1)
+
+
+# roots as large as the fitted poles (|p| <= 15), points as far out as the
+# bound grids go
+_roots = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                   st.floats(0.0, 15.0), st.floats(0.0, 2 * np.pi))
+_points = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+@given(
+    factors=st.lists(st.tuples(_roots, st.integers(1, 3)), max_size=4),
+    scale=st.builds(complex, st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
+    t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    offset=st.integers(-3, 3),
+    z=st.lists(_points, min_size=1, max_size=6),
+)
+def test_vexp_derivative_matches_leibniz(factors, scale, t, offset, z):
+    """The precomputed w agrees with the Leibniz rule on v and e^(t.).
+
+    N runs below, at and above deg v.  Both sides round differently, so
+    they are compared relative to the same sum taken over the moduli of
+    roots, scale, t and z, which bounds every term either side adds up.
+    """
+    roots = [r for r, _ in factors]
+    mults = [m for _, m in factors]
+    v = FactoredPoly(roots, mults, scale)
+    N = max(v.degree + offset, 0)
+    z = np.array(z)
+    got = VExpDerivative(v, t, N)(z)
+    want = ProductJet(v, ExpJet(t)).eval(z, N)[N]
+    majorant = FactoredPoly(-np.abs(v.roots), v.mults, abs(v.scale))
+    size = ProductJet(majorant, ExpJet(abs(t))).eval(np.abs(z), N)[N].real
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
+    if t == 0.0 and N > v.degree:
+        assert np.all(got == 0)
