@@ -1,6 +1,8 @@
 """Rational approximation of analytic matrix functions with certified
 a-posteriori error bounds and rational Krylov order reduction."""
 
+import logging
+
 from .bounds import (
     CROUZEIX_DISC,
     CROUZEIX_ELLIPSE,
@@ -30,9 +32,7 @@ from .interp import (
     RationalFit,
     RationalInterpolant,
     UnattainablePointError,
-    contour_divdiff_oracle,
     divided_differences,
-    genocchi_hermite_oracle,
     hermite_interpolate,
     linearized_rational_fit,
     partial_fractions,
@@ -70,3 +70,6 @@ from .rom import (
 )
 
 __version__ = "0.1.0"
+
+# library logging is silent unless the application configures a handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import convex_hull, hull_boundary_samples
 from .interp import linearized_rational_fit
-from .linalg import EigenFactorization, _norm1
+from .linalg import EigenFactorization, _norm1, blas_thread_counts, blas_threads
 from .rom import (
     FinitePole,
     PoleSpec,
@@ -34,6 +34,13 @@ from .rom import (
 
 COND_LIMIT = 1e8
 MAX_REDRAWS = 10
+
+# Below this order a trial runs on one BLAS thread: OpenBLAS threading costs
+# more than it gains on matrices this small, and trials may run concurrently
+# instead.  At and above it BLAS keeps its own threads and trials run one
+# after another.  One serial trial is faster on one BLAS thread at n = 576 and
+# slower at n = 704, about even at 640 (CHANGES.md has the measurements).
+PIN_BELOW_N = 640
 
 
 @dataclass
@@ -152,7 +159,19 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
     return poles
 
 
+def _trial_blas_threads(config: ExperimentConfig) -> int | None:
+    """BLAS threads per trial: 1 below PIN_BELOW_N, else BLAS's own choice."""
+    return 1 if config.n < PIN_BELOW_N else None
+
+
 def _run_trial_full(config: ExperimentConfig, poles: np.ndarray, rng):
+    # the BLAS thread count moves e0 in the last digits, so every route to a
+    # trial takes it from the config alone
+    with blas_threads(_trial_blas_threads(config)):
+        return _run_trial_pinned(config, poles, rng)
+
+
+def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     start = time.perf_counter()
     r = config.rectangle
     n = config.n
@@ -213,13 +232,29 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _requested_workers() -> int:
+    raw = os.environ.get("RATMAT_THREADS")
+    if raw is None:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RATMAT_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all trials, write trials.csv / figure.csv / summary.json.
 
-    Trials run concurrently when RATMAT_THREADS is set above 1; each trial
-    owns an independent RNG stream, so results do not depend on scheduling.
+    Below PIN_BELOW_N every trial runs on one BLAS thread, and trials run
+    concurrently when RATMAT_THREADS is set above 1.  At and above it trials
+    run one after another on BLAS's own threads.  Each trial owns an
+    independent RNG stream, so results do not depend on scheduling.
     """
     t_start = time.perf_counter()
+    requested = _requested_workers()
     poles = derive_poles(config)
 
     def one(trial: int):
@@ -230,12 +265,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
             model, nu = None, None  # only trial 0 feeds the figure data
         return record, model, nu
 
-    workers = max(1, int(os.environ.get("RATMAT_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, config.trials)) as pool:
-            results = list(pool.map(one, range(config.trials)))
-    else:
-        results = [one(i) for i in range(config.trials)]
+    pin = _trial_blas_threads(config)
+    workers = min(requested, config.trials) if pin is not None else 1
+    with blas_threads(pin):
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(one, range(config.trials)))
+        else:
+            results = [one(i) for i in range(config.trials)]
     results.sort(key=lambda item: item[0].trial)
     records = [item[0] for item in results]
 
@@ -268,6 +305,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "min_ratio": float(ratios.min()), "max_ratio": float(ratios.max()),
         "seconds_total": time.perf_counter() - t_start,
         "seconds_per_trial": [rec.seconds for rec in records],
+        "diagnostics": {
+            "workers": workers,
+            "blas_threads": pin,
+            "openblas_libraries": len(blas_thread_counts()),
+        },
     }
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

@@ -11,10 +11,17 @@ Vectors use ``cols = 1``.
 
 from __future__ import annotations
 
+import ctypes
+import logging
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+
+log = logging.getLogger(__name__)
 
 # General dense eigenproblems are only supported at small order; the pipeline
 # needs spectra of reduced matrices and companion matrices, nothing larger.
@@ -232,3 +239,119 @@ def poly_roots(coeffs):
     comp[1:, :-1] = np.eye(d - 1)
     comp[:, -1] = -monic[:-1]
     return eig_small(comp).eigenvalues
+
+
+class _OpenBLASPin:
+    """Process-wide OpenBLAS thread count, shared by every Python thread.
+
+    numpy and scipy each load their own OpenBLAS build, and each build keeps
+    one thread count for the whole process.  The builds are found on first
+    use from the process's memory map, so importing costs nothing.  The
+    outermost entry saves and sets the counts, the outermost exit restores
+    them, and entries in between only count depth, under one lock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._builds = None  # [(library name, get, set)]
+        self._depth = 0
+        self._threads = None
+        self._saved = []
+
+    def builds(self):
+        with self._lock:
+            return self._discover()
+
+    def _discover(self):
+        if self._builds is None:
+            self._builds = []
+            try:
+                with open("/proc/self/maps") as fh:
+                    paths = sorted({line.split()[-1] for line in fh
+                                    if "openblas" in line.lower() and ".so" in line})
+            except OSError:
+                paths = []
+            for path in paths:
+                try:
+                    lib = ctypes.CDLL(path)
+                except OSError:
+                    continue
+                functions = _thread_functions(lib)
+                if functions is not None:
+                    self._builds.append((os.path.basename(path), *functions))
+        return self._builds
+
+    def enter(self, k: int):
+        with self._lock:
+            if self._depth and k != self._threads:
+                raise ValueError(
+                    f"blas_threads({k}) inside blas_threads({self._threads})"
+                )
+            if not self._depth:
+                builds = self._discover()
+                self._saved = [(name, get(), setter)
+                               for name, get, setter in builds]
+                for _, _, setter in builds:
+                    setter(k)
+                self._threads = k
+                if builds:
+                    log.debug("OpenBLAS threads set to %d on %s (were %s)", k,
+                              ", ".join(name for name, _, _ in builds),
+                              ", ".join(str(c) for _, c, _ in self._saved))
+                else:
+                    log.debug("no OpenBLAS loaded; blas_threads(%d) does nothing", k)
+            self._depth += 1
+
+    def exit(self):
+        with self._lock:
+            self._depth -= 1
+            if not self._depth:
+                for _, count, setter in self._saved:
+                    setter(count)
+                if self._saved:
+                    log.debug("OpenBLAS threads restored to %s",
+                              ", ".join(str(c) for _, c, _ in self._saved))
+                self._saved = []
+                self._threads = None
+
+
+def _thread_functions(lib):
+    """(get, set) thread-count functions of an OpenBLAS build, or None."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+_PIN = _OpenBLASPin()
+
+
+def blas_thread_counts() -> dict:
+    """Current thread count of each loaded OpenBLAS build, by library name."""
+    return {name: get() for name, get, _ in _PIN.builds()}
+
+
+@contextmanager
+def blas_threads(k: int | None):
+    """Run the block with every loaded OpenBLAS build on ``k`` threads.
+
+    ``None`` changes nothing.  The setting is process-wide: nested entries and
+    entries from other threads share it and must ask for the same ``k``, and
+    the prior counts come back when the last of them exits.  Without a loaded
+    OpenBLAS this does nothing.
+    """
+    if k is None:
+        yield
+        return
+    if k < 1:
+        raise ValueError(f"blas_threads needs k >= 1, got {k}")
+    _PIN.enter(k)
+    try:
+        yield
+    finally:
+        _PIN.exit()

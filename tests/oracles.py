@@ -8,6 +8,8 @@ two-route check instead of a tautology.
 
 import numpy as np
 
+from ratmat.interp import NodeList
+
 
 def taylor_expm(A, terms=30):
     """e^A by scaling and squaring of a truncated Taylor sum.
@@ -69,3 +71,58 @@ def random_gaussian_matrix(rng, n):
     """Complex Ginibre matrix scaled so the spectrum sits in the unit disc."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return G / np.sqrt(2.0 * n)
+
+
+def genocchi_hermite_oracle(f, nodes: NodeList, quad_points: int) -> complex:
+    """Divided difference as an iterated integral of f^(N-1) over a simplex.
+
+    Gauss-Legendre with ``quad_points`` nodes per axis on the nested ranges
+    0 <= t_{N-1} <= ... <= t_1 <= 1.  Cost grows like quad_points^(N-1), so
+    only N <= 4 is supported.
+    """
+    z = nodes.nodes
+    N = z.size
+    if N > 4:
+        raise ValueError("oracle scale exceeded: at most 4 nodes supported")
+    if N == 1:
+        return complex(f.eval(z[0], 0)[0])
+    if quad_points < 1:
+        raise ValueError("quad_points must be >= 1")
+
+    x, w = np.polynomial.legendre.leggauss(quad_points)
+    x = 0.5 * (x + 1.0)  # shift to [0, 1]
+    w = 0.5 * w
+
+    upper = np.array(1.0)  # running upper limit t_{k-1}
+    weight = np.array(1.0)
+    point = np.array(z[0])
+    for k in range(1, N):
+        t = upper[..., np.newaxis] * x
+        weight = weight[..., np.newaxis] * (upper[..., np.newaxis] * w)
+        point = point[..., np.newaxis] + t * (z[k] - z[k - 1])
+        upper = t
+    vals = f.eval(point, N - 1)[N - 1]
+    return complex(np.sum(weight * vals))
+
+
+def contour_divdiff_oracle(
+    f, nodes: NodeList, center: complex, radius: float, quad_points: int
+) -> complex:
+    """Divided difference as the contour integral of f/Omega over a circle.
+
+    Trapezoid rule on |lambda - center| = radius; all nodes must lie strictly
+    inside the circle.  Spectrally convergent in quad_points.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if quad_points < 2:
+        raise ValueError("quad_points must be >= 2")
+    dist = np.abs(nodes.nodes - center)
+    if np.any(dist >= radius * (1.0 - 1e-12)):
+        raise ValueError("all nodes must lie strictly inside the contour")
+    theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
+    lam = center + radius * np.exp(1j * theta)
+    omega = nodes.omega()
+    vals = f.eval(lam, 0)[0] / omega(lam)
+    # dlambda = i (lambda - center) dtheta; the 1/(2 pi i) cancels it
+    return complex(np.mean(vals * (lam - center)))

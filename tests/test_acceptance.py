@@ -14,15 +14,19 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_diagonalizable, random_gaussian_matrix, taylor_expm
+from oracles import (
+    contour_divdiff_oracle,
+    genocchi_hermite_oracle,
+    random_diagonalizable,
+    random_gaussian_matrix,
+    taylor_expm,
+)
 from ratmat.bounds import numerical_range_box
 from ratmat.experiment import ExperimentConfig, run_experiment
 from ratmat.geometry import polygon_contains
 from ratmat.interp import (
     NodeList,
-    contour_divdiff_oracle,
     divided_differences,
-    genocchi_hermite_oracle,
     hermite_interpolate,
     rational_interpolate_fixed_denominator,
     remainder_scalar,

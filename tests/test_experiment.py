@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ratmat import experiment
+from ratmat.linalg import blas_thread_counts
 from ratmat.experiment import (
     ExperimentConfig,
     boundary_fit_nodes,
@@ -164,3 +169,76 @@ def test_run_experiment_rows_match_independent_trials(tmp_path):
         assert float(row["argmax_s"]) == rec.argmax_s
         assert float(row["argmax_mu_re"]) == rec.argmax_mu.real
         assert float(row["argmax_mu_im"]) == rec.argmax_mu.imag
+
+
+def test_run_experiment_n128_independent_of_workers(tmp_path, monkeypatch):
+    # below PIN_BELOW_N every trial runs on one BLAS thread, whatever runs it
+    def go(sub, threads=None):
+        if threads is None:
+            monkeypatch.delenv("RATMAT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RATMAT_THREADS", str(threads))
+        config = ExperimentConfig(n=128, trials=2, seed=3,
+                                  outdir=str(tmp_path / sub))
+        summary = run_experiment(config)
+        outputs = ((tmp_path / sub / "trials.csv").read_bytes(),
+                   (tmp_path / sub / "figure.csv").read_bytes())
+        return outputs, summary["diagnostics"]
+
+    serial, diag1 = go("serial")
+    threaded, diag2 = go("threaded", threads=2)
+    assert threaded == serial
+    assert diag1["workers"] == 1 and diag2["workers"] == 2
+    assert diag1["blas_threads"] == diag2["blas_threads"] == 1
+    assert diag1["openblas_libraries"] == len(blas_thread_counts())
+
+    config = ExperimentConfig(n=128, trials=2, seed=3)
+    poles = derive_poles(config)
+    rows = _read_rows(tmp_path / "serial" / "trials.csv")
+    for k, row in enumerate(rows):
+        rec = run_trial(config, poles, np.random.default_rng([3, k]))
+        assert float(row["e0"]) == rec.e0
+        assert float(row["e1"]) == rec.e1
+        assert float(row["argmax_s"]) == rec.argmax_s
+        assert float(row["argmax_mu_re"]) == rec.argmax_mu.real
+        assert float(row["argmax_mu_im"]) == rec.argmax_mu.imag
+
+
+def test_run_experiment_serial_unpinned_at_crossover(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
+    monkeypatch.setenv("RATMAT_THREADS", "2")
+    config = ExperimentConfig(n=16, trials=3, seed=2,
+                              outdir=str(tmp_path / "out"))
+    diagnostics = run_experiment(config)["diagnostics"]
+    assert diagnostics["workers"] == 1
+    assert diagnostics["blas_threads"] is None
+    stored = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert stored["diagnostics"] == diagnostics
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])
+def test_run_experiment_rejects_bad_ratmat_threads(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RATMAT_THREADS", value)
+    config = ExperimentConfig(n=16, trials=2, outdir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=f"RATMAT_THREADS .* got {value!r}"):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_n128_independent_of_openblas_threads(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"blas{threads}"
+        cfg = tmp_path / f"blas{threads}.json"
+        cfg.write_text(json.dumps({
+            "n": 128, "trials": 2, "seed": 4, "outdir": str(outdir),
+        }))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratmat", "run", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(((outdir / "trials.csv").read_bytes(),
+                     (outdir / "figure.csv").read_bytes()))
+    assert outs[0] == outs[1]

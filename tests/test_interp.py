@@ -4,14 +4,13 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
+from oracles import contour_divdiff_oracle, genocchi_hermite_oracle
 from ratmat.interp import (
     NewtonForm,
     NodeList,
     RationalInterpolant,
     UnattainablePointError,
-    contour_divdiff_oracle,
     divided_differences,
-    genocchi_hermite_oracle,
     hermite_interpolate,
     linearized_rational_fit,
     partial_fractions,

@@ -1,10 +1,17 @@
+import logging
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ratmat import linalg
 from ratmat.linalg import (
     EigenFactorization,
     as_matrix,
     as_vector,
+    blas_thread_counts,
+    blas_threads,
     eig_extreme_hermitian,
     eig_small,
     matrix_from_json,
@@ -193,3 +200,110 @@ def test_poly_roots_degree_errors():
         poly_roots([3.0])
     with pytest.raises(ValueError):
         poly_roots([1.0, 0.0])
+
+
+def _openblas_counts():
+    counts = blas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS build loaded in this process")
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_blas_threads_sets_and_restores(k):
+    before = _openblas_counts()
+    with blas_threads(k):
+        assert set(blas_thread_counts().values()) == {k}
+    assert blas_thread_counts() == before
+    with pytest.raises(RuntimeError, match="inside the pin"):
+        with blas_threads(k):
+            assert set(blas_thread_counts().values()) == {k}
+            raise RuntimeError("inside the pin")
+    assert blas_thread_counts() == before
+
+
+def test_blas_threads_none_changes_nothing():
+    before = _openblas_counts()
+    with blas_threads(2):
+        with blas_threads(None):
+            assert set(blas_thread_counts().values()) == {2}
+    with blas_threads(None):
+        assert blas_thread_counts() == before
+    assert blas_thread_counts() == before
+
+
+def test_blas_threads_nested_restores_once():
+    before = _openblas_counts()
+    with blas_threads(1):
+        with blas_threads(1):
+            pass
+        # the inner exit must leave the outer pin in place
+        assert set(blas_thread_counts().values()) == {1}
+        with pytest.raises(ValueError, match="inside blas_threads"):
+            with blas_threads(2):
+                pass
+        assert set(blas_thread_counts().values()) == {1}
+    assert blas_thread_counts() == before
+    with pytest.raises(ValueError, match="k >= 1"):
+        with blas_threads(0):
+            pass
+
+
+def test_blas_threads_two_threads_restore_once():
+    before = _openblas_counts()
+    both_inside = threading.Barrier(2, timeout=10)
+    first_left = threading.Event()
+    seen = []
+
+    def worker(i):
+        with blas_threads(1):
+            both_inside.wait()
+            if i == 1:
+                first_left.wait(10)
+                seen.append(blas_thread_counts())
+        if i == 0:
+            first_left.set()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive()
+    # the thread still inside keeps its pin after the other one left
+    assert first_left.is_set() and len(seen) == 1
+    assert set(seen[0].values()) == {1}
+    assert blas_thread_counts() == before
+
+
+def test_blas_threads_stress_many_threads():
+    before = _openblas_counts()
+    pinned = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def worker():
+            for _ in range(100):
+                with blas_threads(1):
+                    pinned.append(set(blas_thread_counts().values()) == {1})
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(pinned) == 800 and all(pinned)
+    assert blas_thread_counts() == before
+
+
+def test_blas_threads_without_openblas_is_a_no_op(monkeypatch, caplog):
+    pin = linalg._OpenBLASPin()
+    pin._builds = []
+    monkeypatch.setattr(linalg, "_PIN", pin)
+    with caplog.at_level(logging.DEBUG, logger="ratmat"):
+        with blas_threads(1):
+            assert blas_thread_counts() == {}
+    assert "no OpenBLAS loaded" in caplog.text
