@@ -35,11 +35,13 @@ from .rom import (
 COND_LIMIT = 1e8
 MAX_REDRAWS = 10
 
-# Below this order a trial runs on one BLAS thread: OpenBLAS threading costs
-# more than it gains on matrices this small, and trials may run concurrently
-# instead.  At and above it BLAS keeps its own threads and trials run one
-# after another.  One serial trial is faster on one BLAS thread at n = 576 and
-# slower at n = 704, about even at 640 (CHANGES.md has the measurements).
+# Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
+# so its output bits do not depend on the core count, and trials may run
+# concurrently instead.  At and above it BLAS keeps its own threads and
+# trials run one after another.  640 was the serial crossover while a trial
+# ran eight dense LUs; without them one BLAS thread no longer makes a serial
+# trial faster (README.md has the measurements), but a lower threshold would
+# tie the default n = 256 output to the core count.
 PIN_BELOW_N = 640
 
 
@@ -159,15 +161,15 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
     return poles
 
 
-def _trial_blas_threads(config: ExperimentConfig) -> int | None:
-    """BLAS threads per trial: 1 below PIN_BELOW_N, else BLAS's own choice."""
-    return 1 if config.n < PIN_BELOW_N else None
+def blas_threads_for(n: int) -> int | None:
+    """BLAS threads for work on order n: 1 below PIN_BELOW_N, else BLAS's own."""
+    return 1 if n < PIN_BELOW_N else None
 
 
 def _run_trial_full(config: ExperimentConfig, poles: np.ndarray, rng):
     # the BLAS thread count moves e0 in the last digits, so every route to a
     # trial takes it from the config alone
-    with blas_threads(_trial_blas_threads(config)):
+    with blas_threads(blas_threads_for(config.n)):
         return _run_trial_pinned(config, poles, rng)
 
 
@@ -190,10 +192,11 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = raw / np.linalg.norm(raw)
 
-    A = (S * nu[np.newaxis, :]) @ Sinv
+    # basis, projection, e0 and e1 all run through the one factorization;
+    # A itself is never formed
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
-    V, _ = build_krylov_basis(A, b, spec)
-    model = reduce(A, b, V, spec=spec, side="one")
+    V, _ = build_krylov_basis(fac, b, spec)
+    model = reduce(fac, b, V, spec=spec, side="one")
 
     exact = S @ (np.exp(config.t * nu) * (Sinv @ b))
     approx = impulse_reduced(model, config.t, kind="vector")
@@ -265,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             model, nu = None, None  # only trial 0 feeds the figure data
         return record, model, nu
 
-    pin = _trial_blas_threads(config)
+    pin = blas_threads_for(config.n)
     workers = min(requested, config.trials) if pin is not None else 1
     with blas_threads(pin):
         if workers > 1:

@@ -11,7 +11,6 @@ must be vectorized over ``z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -208,19 +207,3 @@ def jet_divide(F, G):
             acc -= comb(m, k) * G[k] * H[m - k]
         H[m] = acc / G[0]
     return H
-
-
-@dataclass(frozen=True)
-class ConstJet:
-    """Constant function as a jet."""
-
-    value: complex
-
-    def __call__(self, z):
-        return np.full(_as_points(z).shape, self.value, dtype=np.complex128)
-
-    def eval(self, z, order: int):
-        z = _as_points(z)
-        out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        out[0] = self.value
-        return out

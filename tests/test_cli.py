@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ratmat.cli import main
+from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.linalg import matrix_to_json, vector_to_json
 from ratmat.rom import (
     PoleSpec,
@@ -94,6 +98,32 @@ def test_bound_two_sided_dispatch(tmp_path, capsys):
     model = reduce(A, b, V, d=d, spec=spec, side="two")
     res = arnoldi_error_bound(model, A, b, d=d, t=1.0)
     assert out["e1"] == res.value
+
+
+def test_bound_output_independent_of_openblas_threads(tmp_path):
+    """xp bound takes its BLAS thread count from the order, as a trial does."""
+    rng = np.random.default_rng(64)
+    n = 64
+    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    A = (S * nu) @ np.linalg.inv(S)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    poles = derive_poles(ExperimentConfig())
+    spec_obj = {"kappa0": 1, "chi0": 1, "poles": [
+        {"lambda": [p.real, p.imag], "kappa": 1, "chi": k % 2}
+        for k, p in enumerate(poles)
+    ]}
+    args = _bound_args(tmp_path, A, b, spec_obj, d=d)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "ratmat"] + args,
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["e1"] > 0.0
+    assert outs[0] == outs[1]
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ratmat import experiment
+from ratmat import experiment, rom
 from ratmat.linalg import blas_thread_counts
 from ratmat.experiment import (
     ExperimentConfig,
@@ -93,6 +93,19 @@ def test_run_trial_full_basis_reproduces_exponential():
     poles = derive_poles(config)
     rec = run_trial(config, poles, np.random.default_rng([1, 0]))
     assert rec.e0 <= 1e-8
+
+
+def test_run_trial_takes_no_dense_lu(monkeypatch):
+    """A trial reduces through its own factorization: no formed A, no LU."""
+    config = ExperimentConfig(n=32, trials=1)
+    poles = derive_poles(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial called lu_factor")
+
+    monkeypatch.setattr(rom.sla, "lu_factor", refuse)
+    rec = run_trial(config, poles, np.random.default_rng([0, 3]))
+    assert 0.0 < rec.e0 <= rec.e1 * 1.05
 
 
 def _read_rows(path):

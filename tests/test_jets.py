@@ -3,7 +3,6 @@ import pytest
 
 from oracles import central_difference
 from ratmat.jets import (
-    ConstJet,
     ExpJet,
     FactoredPoly,
     FunctionJet,
@@ -99,9 +98,3 @@ def test_function_jet_order_limit():
     assert np.allclose(f.eval(0.0, 1), [1.0, 1.0])
     with pytest.raises(ValueError, match="unavailable"):
         f.eval(0.0, 2)
-
-
-def test_const_jet():
-    c = ConstJet(3.0 - 1.0j)
-    J = c.eval(np.zeros(4), 2)
-    assert np.all(J[0] == 3.0 - 1.0j) and np.all(J[1:] == 0)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from oracles import random_diagonalizable, taylor_expm
+from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.linalg import EigenFactorization
 from ratmat.rom import (
     FinitePole,
@@ -340,3 +344,134 @@ def test_arnoldi_bound_covers_true_error_two_sided():
     e0 = abs(exact - impulse_reduced(model, 1.0))
     e1 = arnoldi_error_bound(model, A, b, d=d, t=1.0).value
     assert e0 <= e1 * 1.05
+
+
+# ------------------------------------------------- A as its factorization
+
+def _dense_krylov_vectors(A, x, kappa0, pole_mults, dual):
+    """The raw Krylov vectors by numpy products and solves against A itself."""
+    M = A.conj().T if dual else A
+    out, y = [], x
+    for _ in range(kappa0):
+        out.append(y)
+        y = M @ y
+    for lam, m in pole_mults:
+        shift = np.conj(lam) if dual else lam
+        y = x
+        for _ in range(m):
+            y = np.linalg.solve(shift * np.eye(x.size) - M, y)
+            out.append(y)
+    return out
+
+
+def _span_residual(V, x):
+    return np.linalg.norm(x - V @ (V.conj().T @ x)) / np.linalg.norm(x)
+
+
+def _check_routes_agree(fac, b, d, spec):
+    """Both forms of A keep the same vectors and reduce to the same model.
+
+    Every raw Krylov vector lies in both spans to 1e-10.  The orthonormal
+    bases and the Ritz values are only as well determined as the raw Krylov
+    matrix K is conditioned: at n = 48 with the fitted poles, both routes
+    sit about 1e-7 from a 40-digit reference and cond(K) is about 1e9, so
+    the spectra are compared on the scale eps * cond(K).
+    """
+    A = (fac.S * fac.eigenvalues) @ fac.Sinv
+    side = "two" if spec.is_two_sided else "one"
+    d = d if side == "two" else None
+    V_lu, kept_lu = build_krylov_basis(A, b, spec, side=side, d=d)
+    V_fac, kept_fac = build_krylov_basis(fac, b, spec, side=side, d=d)
+    assert kept_fac == kept_lu
+
+    raw = _dense_krylov_vectors(A, b, spec.kappa0,
+                                [(p.lam, p.kappa) for p in spec.poles], False)
+    if side == "two":
+        raw += _dense_krylov_vectors(A, d, spec.chi0,
+                                     [(p.lam, p.chi) for p in spec.poles], True)
+    for x in raw:
+        assert _span_residual(V_lu, x) <= 1e-10
+        assert _span_residual(V_fac, x) <= 1e-10
+
+    model_lu = reduce(A, b, V_lu, d=d, spec=spec, side=side)
+    model_fac = reduce(fac, b, V_fac, d=d, spec=spec, side=side)
+    K = np.column_stack([x / np.linalg.norm(x) for x in raw])
+    sv = np.linalg.svd(K, compute_uv=False)
+    tol = 1e3 * np.finfo(float).eps * sv[0] / sv[-1]
+    ev_lu, ev_fac = model_lu.reduced_spectrum, model_fac.reduced_spectrum
+    rows, cols = linear_sum_assignment(np.abs(ev_lu[:, None] - ev_fac[None, :]))
+    assert np.abs(ev_lu[rows] - ev_fac[cols]).max() <= tol * np.abs(ev_lu).max()
+
+    assert moment_match_check(model_fac, fac, b) <= 1e-8
+    if side == "two":
+        assert moment_match_check(model_fac, fac, b, d=d, kind="bilinear") <= 1e-8
+
+
+def _rectangle_system(rng, n):
+    """The experiment's draw: spectrum in [-1, 0] x [-pi, pi], S uniform."""
+    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    fac = EigenFactorization(S, nu, np.linalg.inv(S))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return fac, b, d
+
+
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_factorization_route_matches_lu_route(side):
+    fac, b, d = _rectangle_system(np.random.default_rng(401), 48)
+    chi = 1 if side == "two" else 0
+    poles = derive_poles(ExperimentConfig())
+    spec = PoleSpec(1, [FinitePole(complex(p), 1, chi) for p in poles], chi0=chi)
+    assert len(poles) == 8 and spec.is_two_sided == (side == "two")
+    _check_routes_agree(fac, b, d, spec)
+
+
+# candidate poles outside the spectrum's rectangle, at least 1 apart
+_POLE_SITES = [complex(re, im) for re in (1.5, 3.0, 5.0) for im in (-4.0, 0.0, 4.0)]
+
+
+@given(
+    poles=st.lists(
+        st.tuples(st.sampled_from(_POLE_SITES), st.integers(0, 2), st.integers(0, 2)),
+        min_size=1, max_size=3, unique_by=lambda p: p[0],
+    ),
+    kappa0=st.integers(0, 2),
+    chi0=st.integers(0, 2),
+)
+def test_factorization_route_matches_lu_route_random_poles(poles, kappa0, chi0):
+    finite = [FinitePole(lam, kappa, chi) for lam, kappa, chi in poles]
+    assume(kappa0 + sum(p.kappa for p in finite) > 0)
+    spec = PoleSpec(kappa0, finite, chi0=chi0)
+    fac, b, d = _rectangle_system(np.random.default_rng(409), 32)
+    _check_routes_agree(fac, b, d, spec)
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_factorization_route_pole_in_spectrum(side):
+    # a scaled permutation: A = S D S^-1 is formed exactly, so the LU of
+    # (2 I - A) is exactly singular as well
+    S = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 4.0], [0.5, 0.0, 0.0]])
+    ev = np.array([1.0, 2.0, 3.0])
+    fac = EigenFactorization(S, ev, np.linalg.inv(S))
+    A = (S * ev) @ fac.Sinv
+    b = np.ones(3)
+    if side == "one":
+        spec, d = PoleSpec(0, [FinitePole(2.0)]), None
+    else:
+        spec, d = PoleSpec(1, [FinitePole(2.0, 0, 1)]), np.ones(3)
+    messages = []
+    for op in (A, fac):
+        with pytest.raises(ValueError, match="pole in spectrum") as info:
+            build_krylov_basis(op, b, spec, side=side, d=d)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_factorization_route_needs_inverse():
+    fac = EigenFactorization.from_eigensystem(np.diag([1.0, 1e-13]), [1.0, 2.0])
+    with pytest.raises(ValueError, match="unusable"):
+        build_krylov_basis(fac, np.ones(2), PoleSpec(1, [FinitePole(3.0)]))
+    with pytest.raises(ValueError, match="unusable"):
+        reduce(fac, np.ones(2), np.eye(2)[:, :1])
