@@ -4,18 +4,11 @@ a-posteriori error bounds and rational Krylov order reduction."""
 import logging
 
 from .bounds import (
-    CROUZEIX_DISC,
-    CROUZEIX_ELLIPSE,
-    CROUZEIX_GENERAL,
     BoundQuery,
     BoundResult,
     bound_bilinear,
     bound_core_matrix,
-    bound_matrix_norm,
-    bound_pade,
     bound_vector,
-    crouzeix_scalar_bound,
-    log_norm,
     numerical_range_box,
 )
 from .experiment import (
@@ -44,6 +37,7 @@ from .linalg import (
     EigenFactorization,
     eig_extreme_hermitian,
     eig_small,
+    factorize,
     matrix_from_json,
     matrix_to_json,
     mgs_orthonormalize,

@@ -7,7 +7,7 @@ Omega), denominator v, and f = exp_t,
     e1 = max over s in [0,1], mu in co{z_1..z_N} of
          || Omega(A) [v(A)]^-1 (v f)^(N)((1-s) mu I + s A) / N! ||
 
-in bilinear, vector-norm, and matrix-norm flavors.  The maximum over the hull
+in bilinear and vector-norm flavors.  The maximum over the hull
 is taken over boundary samples only (maximum modulus), and the s range over a
 uniform grid; both grids are part of the query and the result.
 """
@@ -23,18 +23,15 @@ import scipy.linalg as sla
 from .geometry import clip_polygon_halfplane, convex_hull, hull_boundary_samples
 from .interp import CONFLUENCE_TOL, NodeList, partial_fractions
 from .jets import ExpJet, FactoredPoly, ProductJet
-from .linalg import (
-    EigenFactorization,
+# eig_small is not called here; perfbench's tracer wraps it by this name
+from .linalg import (  # noqa: F401
     as_square_matrix,
     as_vector,
     eig_extreme_hermitian,
     eig_small,
+    factorize,
 )
 from .matfun import VExpDerivative, matfun_via_factorization
-
-CROUZEIX_GENERAL = 11.08
-CROUZEIX_ELLIPSE = 3.16
-CROUZEIX_DISC = 2.0
 
 
 @dataclass
@@ -59,8 +56,8 @@ class BoundResult:
 class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
-    ``A`` may be a matrix (order <= 64, factorized internally) or an
-    EigenFactorization.  ``v`` is the fixed denominator; ``f`` defaults to
+    ``A`` is a matrix or an EigenFactorization with S^-1 (see
+    linalg.factorize).  ``v`` is the fixed denominator; ``f`` defaults to
     exp_t with the given t.  The evaluation always runs through the
     factorization; the denominator is checked against the spectrum.
     """
@@ -68,14 +65,7 @@ class BoundQuery:
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
                  f=None, s_samples: int = 11, mu_samples: int = 50,
                  s_grid=None, mu_points=None):
-        if isinstance(A, EigenFactorization):
-            self.fac = A
-            self.A = None
-        else:
-            self.A = as_square_matrix(A)
-            self.fac = eig_small(self.A)
-        if not self.fac.usable:
-            raise ValueError("eigenvector matrix unusable; bound needs S^-1")
+        self.fac = factorize(A)
         self.nodes = nodes
         self.v = v
         self.f = ExpJet(t) if f is None else f
@@ -158,9 +148,7 @@ def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
     solves, no explicit inverse of v(A)); the derivative factor goes through
     the factorization.
     """
-    A = q.A
-    if A is None:
-        A = (q.fac.S * q.fac.eigenvalues[np.newaxis, :]) @ q.fac.Sinv
+    A = (q.fac.S * q.fac.eigenvalues[np.newaxis, :]) @ q.fac.Sinv
     n = A.shape[0]
     pf = partial_fractions(q.omega.coeffs(), q.v)
     K = np.zeros((n, n), dtype=np.complex128)
@@ -203,64 +191,6 @@ def bound_bilinear(q: BoundQuery, b, d) -> BoundResult:
     return q._result(np.abs(H @ (u * c)))
 
 
-def bound_matrix_norm(q: BoundQuery) -> BoundResult:
-    """max over the grid of the spectral norm of the core matrix.
-
-    Per grid point the norm comes from the Gram matrix and the Hermitian
-    extreme-eigenvalue kernel.
-    """
-    _, _, H = q._grid()
-    S, Sinv = q.fac.S, q.fac.Sinv
-    vals = np.empty(H.shape[0])
-    for g in range(H.shape[0]):
-        B = (S * H[g][np.newaxis, :]) @ Sinv
-        gram = B.conj().T @ B
-        vals[g] = np.sqrt(max(eig_extreme_hermitian(gram)[1], 0.0))
-    return q._result(vals)
-
-
-def bound_pade(A, z0: complex, L: int, M: int, f, s_samples: int = 11) -> BoundResult:
-    """Error bound for the [L/M] Pade approximant of f at z0 applied to A.
-
-    All N = L+M+1 interpolation nodes sit at z0, so the hull degenerates to
-    the point z0 and only the s grid matters.  The denominator comes from the
-    order-(L+M) Taylor jet of f at z0.
-    """
-    if L < 0 or M < 0:
-        raise ValueError("degrees must be nonnegative")
-    N = L + M + 1
-    taylor = f.eval(z0, L + M)
-    c = taylor / np.array([factorial(k) for k in range(L + M + 1)])
-    if M == 0:
-        v = FactoredPoly((), (), 1.0)
-    else:
-        rows = np.zeros((M, M + 1), dtype=np.complex128)
-        for i, k in enumerate(range(L + 1, L + M + 1)):
-            for j in range(M + 1):
-                if 0 <= k - j <= L + M:
-                    rows[i, j] = c[k - j]
-        _, _, Vh = np.linalg.svd(rows)
-        vc = Vh[-1].conj()  # coefficients of v in powers of (z - z0)
-        if abs(vc[0]) <= 1e-12 * np.abs(vc).max():
-            raise ValueError("degenerate Pade denominator: v(z0) = 0")
-        trimmed = vc[: np.nonzero(np.abs(vc) > 1e-12 * np.abs(vc).max())[0][-1] + 1]
-        if trimmed.size == 1:
-            v = FactoredPoly((), (), trimmed[0])
-        else:
-            shifted = FactoredPoly.from_coeffs(trimmed)
-            v = FactoredPoly(shifted.roots + z0, shifted.mults, shifted.scale)
-    nodes = NodeList(np.full(N, z0))
-    q = BoundQuery(A, nodes, v, f=f, s_samples=s_samples,
-                   mu_points=np.array([z0]))
-    return bound_matrix_norm(q)
-
-
-def log_norm(A) -> float:
-    """Largest eigenvalue of the Hermitian part (A + A^H)/2."""
-    A = as_square_matrix(A)
-    return eig_extreme_hermitian(0.5 * (A + A.conj().T))[1]
-
-
 def numerical_range_box(A, angles=(0.0, -pi / 2)) -> np.ndarray:
     """Convex polygon containing the numerical range of A.
 
@@ -290,24 +220,3 @@ def numerical_range_box(A, angles=(0.0, -pi / 2)) -> np.ndarray:
         if poly.size == 0:
             raise RuntimeError("strip intersection emptied; numerical failure")
     return convex_hull(poly)
-
-
-def crouzeix_scalar_bound(q: BoundQuery, psi_vertices, b_norm: float,
-                          C: float = CROUZEIX_GENERAL) -> float:
-    """Scalarized bound C * max over the boundary of Psi of the remainder.
-
-    Psi must contain the numerical range of A (caller's responsibility); by
-    convexity the two-parameter max collapses to a single max over Psi, here
-    sampled on the boundary:
-
-        C * max |Omega(lam)/v(lam) * (v f)^(N)(lam) / N!| * ||b||.
-    """
-    psi = as_vector(psi_vertices, "psi_vertices")
-    count = max(q.mu_points.size, psi.size)
-    samples = hull_boundary_samples(psi, count)
-    v_at = q.v(samples)
-    if np.any(np.abs(v_at) <= 1e-300):
-        raise ValueError("denominator vanishes on a boundary sample")
-    vals = np.abs(q.omega(samples) / v_at * q.vf_derivative(samples)
-                  / float(factorial(q.N)))
-    return float(C * vals.max() * b_norm)

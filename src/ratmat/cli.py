@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .experiment import ExperimentConfig, blas_threads_for, derive_poles, run_experiment
-from .linalg import blas_threads, matrix_from_json, vector_from_json
+from .linalg import blas_threads, factorize, matrix_from_json, vector_from_json
 from .rom import PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
 
@@ -56,6 +56,15 @@ def bound_cmd(args) -> int:
     b = vector_from_json(_load_json(args.b), "b")
     d = vector_from_json(_load_json(args.d), "d") if args.d else None
     spec = PoleSpec.from_json(_load_json(args.poles))
+    for name, x in (("b", b), ("d", d)):
+        if x is not None and x.size != A.shape[0]:
+            raise ValueError(f"{name} has length {x.size}, A has order {A.shape[0]}")
+    if not np.isfinite(args.t):
+        raise ValueError(f"--t must be finite, got {args.t}")
+    if args.s_samples < 2:
+        raise ValueError(f"--s-samples must be at least 2, got {args.s_samples}")
+    if args.mu_samples < 1:
+        raise ValueError(f"--mu-samples must be at least 1, got {args.mu_samples}")
 
     if np.linalg.norm(b) == 0.0:
         result = {
@@ -66,12 +75,13 @@ def bound_cmd(args) -> int:
         return 0
 
     side = "two" if d is not None else "one"
-    # a user's A arrives as a matrix, so this takes the LU route; the BLAS
-    # threads follow the order as a trial's do, so the bits ignore the cores
+    # the BLAS threads follow the order as a trial's do, so the bits ignore
+    # the cores; A is factorized once, and basis, reduction and bound share it
     with blas_threads(blas_threads_for(A.shape[0])):
-        V, _ = build_krylov_basis(A, b, spec, side=side, d=d)
-        model = reduce(A, b, V, d=d, spec=spec, side=side)
-        res = arnoldi_error_bound(model, A, b, d=d, t=args.t,
+        fac = factorize(A)
+        V, _ = build_krylov_basis(fac, b, spec, side=side, d=d)
+        model = reduce(fac, b, V, d=d, spec=spec, side=side)
+        res = arnoldi_error_bound(model, fac, b, d=d, t=args.t,
                                   s_samples=args.s_samples,
                                   mu_samples=args.mu_samples)
     print(json.dumps(res.to_json()))

@@ -9,7 +9,7 @@ a derivative (Hermite) condition of correspondingly higher order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 import numpy.polynomial.polynomial as npp

@@ -19,13 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 log = logging.getLogger(__name__)
-
-# General dense eigenproblems are only supported at small order; the pipeline
-# needs spectra of reduced matrices and companion matrices, nothing larger.
-MAX_EIG_ORDER = 64
 
 # Above this one-norm condition estimate an eigenvector matrix is considered
 # numerically useless for S f(D) S^-1 evaluation.
@@ -184,13 +179,15 @@ def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
 
 
 def eig_small(A) -> EigenFactorization:
-    """Dense complex eigen decomposition, supported up to order 64 only."""
+    """Dense complex eigen decomposition of a square matrix of any order.
+
+    The eigenpairs are checked by their residual; S^-1 is left out when S is
+    too ill-conditioned to invert (see EigenFactorization.from_eigensystem).
+    """
     A = as_square_matrix(A)
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty matrix")
-    if n > MAX_EIG_ORDER:
-        raise ValueError(f"order {n} exceeds dense eigensolver limit {MAX_EIG_ORDER}")
     try:
         w, S = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -200,6 +197,22 @@ def eig_small(A) -> EigenFactorization:
     if resid > 1e-8 * max(scale, 1e-300):
         raise ValueError(f"eigen residual {resid:.2e} too large for scale {scale:.2e}")
     return EigenFactorization.from_eigensystem(S, w)
+
+
+def factorize(A) -> EigenFactorization:
+    """A as its eigen-factorization with S^-1, the one form the package uses.
+
+    An EigenFactorization is returned as it is, a matrix goes through
+    eig_small.  Either way S^-1 must exist: the shifted solves, the
+    projection and the bound all apply it.
+    """
+    fac = A if isinstance(A, EigenFactorization) else eig_small(A)
+    if not fac.usable:
+        raise ValueError(
+            "unusable eigenbasis: the eigenvector matrix S is singular or too "
+            "ill-conditioned to invert (the matrix is defective or nearly so)"
+        )
+    return fac
 
 
 def eig_extreme_hermitian(A):
@@ -223,8 +236,7 @@ def eig_extreme_hermitian(A):
 def poly_roots(coeffs):
     """Roots of a polynomial with ascending coefficients c0 + c1 z + ...
 
-    Computed as eigenvalues of the companion matrix, so the degree is limited
-    to the dense eigensolver order.
+    Computed as eigenvalues of the companion matrix.
     """
     c = as_vector(coeffs, "coefficients")
     if c.size < 2:

@@ -67,6 +67,27 @@ def random_diagonalizable(rng, n, radius=2.0, separation=0.1, cond_limit=1e4):
     return A, S, ev, Sinv
 
 
+def dense_krylov_vectors(A, x, kappa0, pole_mults, dual):
+    """Raw rational Krylov vectors by numpy products and solves against A.
+
+    Powers x, Mx, ... (kappa0 of them), then for each (lam, m) the resolvent
+    powers (lam I - M)^-j x for j = 1..m, with M = A, or M = A^H and conj(lam)
+    on the dual side.
+    """
+    M = A.conj().T if dual else A
+    out, y = [], x
+    for _ in range(kappa0):
+        out.append(y)
+        y = M @ y
+    for lam, m in pole_mults:
+        shift = np.conj(lam) if dual else lam
+        y = x
+        for _ in range(m):
+            y = np.linalg.solve(shift * np.eye(x.size) - M, y)
+            out.append(y)
+    return out
+
+
 def random_gaussian_matrix(rng, n):
     """Complex Ginibre matrix scaled so the spectrum sits in the unit disc."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -8,18 +8,14 @@ from ratmat.bounds import (
     BoundQuery,
     bound_bilinear,
     bound_core_matrix,
-    bound_matrix_norm,
-    bound_pade,
     bound_vector,
-    crouzeix_scalar_bound,
-    log_norm,
     numerical_range_box,
 )
 from ratmat.experiment import ExperimentConfig, derive_poles
-from ratmat.geometry import convex_hull, polygon_contains
+from ratmat.geometry import polygon_contains
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, PolyJet
-from ratmat.linalg import EigenFactorization, eig_small
+from ratmat.jets import ExpJet, FactoredPoly, FunctionJet
+from ratmat.linalg import EigenFactorization
 from ratmat.matfun import rational_apply
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
@@ -147,81 +143,7 @@ def test_bound_norm_domination_chain():
     d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     vec = bound_vector(q, b).value
     bil = bound_bilinear(q, b, d).value
-    mat = bound_matrix_norm(q).value
     assert bil <= vec * np.linalg.norm(d) * (1.0 + 1e-10)
-    assert vec <= mat * (1.0 + 1e-10)
-
-
-def test_bound_matrix_norm_diagonal_case():
-    """For diagonal A the core is diagonal, so its norm is a scalar max."""
-    rng = np.random.default_rng(167)
-    ev = 0.8 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-    A = np.diag(ev)
-    nodes = NodeList(0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    q = BoundQuery(A, nodes, FactoredPoly((), (), 1.0), t=1.0)
-    res = bound_matrix_norm(q)
-    omega = np.prod(ev[:, None] - nodes.nodes[None, :], axis=1)
-    best = 0.0
-    for s in q.s_grid:
-        for mu in q.mu_points:
-            xi = (1 - s) * mu + s * ev
-            best = max(best, np.abs(omega * np.exp(xi) / 6.0).max())
-    assert abs(res.value - best) <= 1e-12 * best
-
-
-def test_bound_pade_single_node():
-    """[0/0] at z0: the bound is max_s ||(A - z0) f'((1-s)z0 + sA)||."""
-    rng = np.random.default_rng(173)
-    A, fac = _fac(rng, 5)
-    z0 = 0.2 - 0.1j
-    res = bound_pade(A, z0, 0, 0, ExpJet(1.0))
-    best = 0.0
-    for s in np.linspace(0.0, 1.0, 11):
-        M = (A - z0 * np.eye(5)) @ (np.exp((1 - s) * z0) * taylor_expm(s * A))
-        best = max(best, np.linalg.norm(M, 2))
-    assert abs(res.value - best) <= 1e-8 * best
-
-
-def test_bound_pade_dominates_true_error():
-    A = np.diag([0.1, -0.1])
-    res = bound_pade(A, 0.0, 1, 1, ExpJet(1.0))
-    r = lambda z: (1 + z / 2) / (1 - z / 2)
-    err = np.abs(np.exp(np.diag(A)) - r(np.diag(A))).max()
-    assert err <= res.value * (1.0 + 1e-9)
-    assert res.n_mu == 1
-
-
-def test_bound_pade_degenerate_cases():
-    assert bound_pade(0.3 * np.eye(4), 0.3, 1, 1, ExpJet(1.0)).value == 0.0
-    with pytest.raises(ValueError, match="degenerate"):
-        bound_pade(np.diag([5.0, 6.0]), 0.0, 0, 1, PolyJet([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        bound_pade(np.eye(2), 0.0, -1, 0, ExpJet(1.0))
-
-
-def test_log_norm_values():
-    assert abs(log_norm(np.diag([1.0, -2.0])) - 1.0) <= 1e-12
-    assert abs(log_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) - 0.5) <= 1e-12
-
-
-def test_log_norm_shift_additivity():
-    rng = np.random.default_rng(179)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    c = 0.3 + 0.7j
-    assert abs(log_norm(A + c * np.eye(7)) - log_norm(A) - c.real) <= 1e-10
-
-
-def test_log_norm_is_max_rayleigh():
-    rng = np.random.default_rng(181)
-    A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mu = log_norm(A)
-    H = 0.5 * (A + A.conj().T)
-    w, U = np.linalg.eigh(H)
-    zmax = U[:, -1]
-    assert abs(np.real(zmax.conj() @ A @ zmax) - mu) <= 1e-8
-    Z = rng.standard_normal((8, 200)) + 1j * rng.standard_normal((8, 200))
-    Z /= np.linalg.norm(Z, axis=0)[None, :]
-    assert np.real(np.sum(Z.conj() * (A @ Z), axis=0)).max() <= mu + 1e-10
 
 
 def test_numerical_range_box_diagonal_example():
@@ -272,54 +194,6 @@ def test_numerical_range_box_scaling_homogeneity():
 def test_numerical_range_box_empty_angles():
     with pytest.raises(ValueError):
         numerical_range_box(np.eye(2), ())
-
-
-def test_crouzeix_point_psi_vanishes():
-    z0 = 0.4 + 0.2j
-    q = BoundQuery(np.array([[1.0]]), NodeList([z0] * 2), FactoredPoly([5.0], [1], 1.0))
-    assert crouzeix_scalar_bound(q, [z0], 1.0) == 0.0
-
-
-def test_crouzeix_dominates_on_normal_matrix():
-    """C = 1 on the true spectral hull bounds the grid norm for normal A.
-
-    Nodes cluster at the left of the spectrum and the pole sits far right,
-    so the scalar product peaks at the same (rightmost) boundary point for
-    both routes.
-    """
-    rng = np.random.default_rng(197)
-    ev = -2.0 + 0.8 * (rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10))
-    Q, _ = np.linalg.qr(rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
-    fac = EigenFactorization(Q, ev, Q.conj().T)
-    nodes = NodeList(ev[np.argsort(ev.real)[:3]])
-    v = FactoredPoly([3.0], [1], 1.0)
-    q = BoundQuery(fac, nodes, v)
-    psi = convex_hull(ev)
-    mat = bound_matrix_norm(q).value
-    sc = crouzeix_scalar_bound(q, psi, 1.0, C=1.0)
-    assert mat <= sc * (1.0 + 1e-12)
-
-
-def test_crouzeix_hermitian_segment():
-    rng = np.random.default_rng(199)
-    G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    H = 0.5 * (G + G.conj().T)
-    fac = eig_small(H)
-    nodes = NodeList(np.sort(fac.eigenvalues.real)[:2])
-    v = FactoredPoly([np.abs(H).max() * 4.0], [1], 1.0)
-    q = BoundQuery(fac, nodes, v)
-    lo, hi = fac.eigenvalues.real.min(), fac.eigenvalues.real.max()
-    sc = crouzeix_scalar_bound(q, [lo, hi], 1.0, C=1.0)
-    # both routes peak at the same endpoint, so allow rounding slack
-    assert bound_matrix_norm(q).value <= sc * (1.0 + 1e-12)
-
-
-def test_crouzeix_pole_on_boundary_sample():
-    pole = 1.0 + 1.0j
-    q = BoundQuery(np.array([[0.1]]), NodeList([0.0]), FactoredPoly([pole], [1], 1.0))
-    psi = [0.0, 1.0, pole, 1.0j]  # the pole is a vertex, hence a sample
-    with pytest.raises(ValueError, match="boundary sample"):
-        crouzeix_scalar_bound(q, psi, 1.0)
 
 
 def test_bound_query_validation():

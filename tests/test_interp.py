@@ -3,9 +3,12 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import contour_divdiff_oracle, genocchi_hermite_oracle
 from ratmat.interp import (
+    CONFLUENCE_TOL,
     NewtonForm,
     NodeList,
     RationalInterpolant,
@@ -29,6 +32,25 @@ def test_node_list_canonicalization():
     assert len(nl.append(0.0)) == 4
     with pytest.raises(ValueError):
         NodeList([])
+
+
+# offsets in units of the confluence tolerance: some snap to their site,
+# some land just outside it and start a new representative
+_NEAR = [0.0, 0.5, 0.9, 1.5, 2.5]
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, -2.0 + 1.0j]),
+              st.sampled_from(_NEAR), st.sampled_from(_NEAR)),
+    min_size=1, max_size=12,
+))
+def test_node_list_canonicalization_idempotent(points):
+    raw = [site + CONFLUENCE_TOL * complex(re, im) for site, re, im in points]
+    once = NodeList(raw)
+    twice = NodeList(once.nodes)
+    assert np.array_equal(twice.reps, once.reps)
+    assert np.array_equal(twice.mults, once.mults)
+    assert np.array_equal(twice.nodes, once.nodes)
 
 
 def test_node_list_omega():
@@ -64,6 +86,23 @@ def test_divided_differences_permutation_symmetry():
         perm = rng.permutation(5)
         got = divided_differences(ExpJet(1.0), NodeList(nodes[perm]))[-1]
         assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@given(
+    nodes=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, -1.0 + 0.5j, 0.5 - 1.0j, 1.5j]),
+                  st.integers(1, 3)),
+        min_size=1, max_size=3, unique_by=lambda p: p[0],
+    ).map(lambda sites: [z for z, m in sites for _ in range(m)]).flatmap(
+        lambda z: st.tuples(st.just(z), st.permutations(z))),
+    t=st.sampled_from([0.5, 1.0, -1.5]),
+)
+def test_divided_differences_permutation_invariant(nodes, t):
+    """f[z_1..z_N] for e^(tz) ignores the node order, confluent or not."""
+    original, permuted = nodes
+    ref = divided_differences(ExpJet(t), NodeList(original))[-1]
+    got = divided_differences(ExpJet(t), NodeList(permuted))[-1]
+    assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_divided_differences_full_confluence():

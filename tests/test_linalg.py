@@ -14,6 +14,7 @@ from ratmat.linalg import (
     blas_threads,
     eig_extreme_hermitian,
     eig_small,
+    factorize,
     matrix_from_json,
     matrix_to_json,
     mgs_orthonormalize,
@@ -135,10 +136,24 @@ def test_eig_small_residual_random():
 
 
 def test_eig_small_order_limit():
-    with pytest.raises(ValueError, match="exceeds"):
-        eig_small(np.eye(65))
+    # no cap on the order: above 64 a matrix factorizes like any other
+    fac = eig_small(np.eye(65))
+    assert fac.order == 65 and np.all(fac.eigenvalues == 1.0)
     with pytest.raises(ValueError):
         eig_small(np.ones((2, 3)))
+
+
+def test_factorize_converts_once():
+    fac = EigenFactorization(np.eye(2), [1.0, 2.0], np.eye(2))
+    assert factorize(fac) is fac
+    got = factorize(np.diag([1.0, 2.0j]))
+    assert sorted(got.eigenvalues, key=abs) == [1.0, 2.0j]
+    # a Jordan block has no invertible eigenbasis, as matrix or as factors
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="unusable eigenbasis"):
+        factorize(jordan)
+    with pytest.raises(ValueError, match="unusable eigenbasis"):
+        factorize(eig_small(jordan))
 
 
 def test_eig_extreme_hermitian_basic():
