@@ -7,7 +7,6 @@ from .bounds import (
     BoundQuery,
     BoundResult,
     bound_bilinear,
-    bound_core_matrix,
     bound_vector,
     numerical_range_box,
 )
@@ -47,7 +46,6 @@ from .linalg import (
 )
 from .matfun import (
     VExpDerivative,
-    matfun_via_factorization,
     poly_apply,
     rational_apply,
 )

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
-import scipy.linalg as sla
 
 from .geometry import clip_polygon_halfplane, convex_hull, hull_boundary_samples
-from .interp import CONFLUENCE_TOL, NodeList, partial_fractions
+from .interp import CONFLUENCE_TOL, NodeList
 from .jets import ExpJet, FactoredPoly, ProductJet
 # eig_small is not called here; perfbench's tracer wraps it by this name
 from .linalg import (  # noqa: F401
@@ -31,7 +30,7 @@ from .linalg import (  # noqa: F401
     eig_small,
     factorize,
 )
-from .matfun import VExpDerivative, matfun_via_factorization
+from .matfun import VExpDerivative
 
 
 @dataclass
@@ -56,8 +55,8 @@ class BoundResult:
 class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
-    ``A`` is a matrix or an EigenFactorization with S^-1 (see
-    linalg.factorize).  ``v`` is the fixed denominator; ``f`` defaults to
+    ``A`` is a matrix or an EigenFactorization (see linalg.factorize), whose
+    LU applies S^-1 to b.  ``v`` is the fixed denominator; ``f`` defaults to
     exp_t with the given t.  The evaluation always runs through the
     factorization; the denominator is checked against the spectrum.
     """
@@ -141,42 +140,11 @@ class BoundQuery:
         )
 
 
-def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
-    """The bounded matrix Omega(A)[v(A)]^-1 (vf)^(N)((1-s)mu I + s A)/N!.
-
-    Omega(A)[v(A)]^-1 goes through the partial fractions of Omega/v (shifted
-    solves, no explicit inverse of v(A)); the derivative factor goes through
-    the factorization.
-    """
-    A = (q.fac.S * q.fac.eigenvalues[np.newaxis, :]) @ q.fac.Sinv
-    n = A.shape[0]
-    pf = partial_fractions(q.omega.coeffs(), q.v)
-    K = np.zeros((n, n), dtype=np.complex128)
-    if pf.quotient.size:
-        acc = pf.quotient[-1] * np.eye(n, dtype=np.complex128)
-        for c in pf.quotient[-2::-1]:
-            acc = A @ acc
-            acc[np.diag_indices(n)] += c
-        K += acc
-    for pole, res in zip(pf.poles, pf.residues):
-        lu = sla.lu_factor(A - pole * np.eye(n))
-        X = np.eye(n, dtype=np.complex128)
-        for coeff in res:
-            X = sla.lu_solve(lu, X)
-            if not np.all(np.isfinite(X)):
-                raise ValueError(f"pole meets spectrum: solve at {pole} diverged")
-            K += coeff * X
-    F = matfun_via_factorization(
-        q.fac, lambda w: q.vf_derivative((1.0 - s) * mu + s * w)
-    ) / float(factorial(q.N))
-    return K @ F
-
-
 def bound_vector(q: BoundQuery, b) -> BoundResult:
     """max over the grid of || core(s, mu) b ||_2 (this is e1)."""
     b = as_vector(b)
     _, _, H = q._grid()
-    c = q.fac.Sinv @ b
+    c = q.fac.solve(b)
     R = q.fac.S @ (H * c[np.newaxis, :]).T
     return q._result(np.linalg.norm(R, axis=0))
 
@@ -186,7 +154,7 @@ def bound_bilinear(q: BoundQuery, b, d) -> BoundResult:
     b = as_vector(b)
     d = as_vector(d)
     _, _, H = q._grid()
-    c = q.fac.Sinv @ b
+    c = q.fac.solve(b)
     u = d.conj() @ q.fac.S
     return q._result(np.abs(H @ (u * c)))
 

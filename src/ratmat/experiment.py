@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import convex_hull, hull_boundary_samples
 from .interp import linearized_rational_fit
-from .linalg import EigenFactorization, _norm1, blas_thread_counts, blas_threads
+from .linalg import EigenFactorization, blas_thread_counts, blas_threads
 from .rom import (
     FinitePole,
     PoleSpec,
@@ -37,11 +37,8 @@ MAX_REDRAWS = 10
 
 # Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
 # so its output bits do not depend on the core count, and trials may run
-# concurrently instead.  At and above it BLAS keeps its own threads and
-# trials run one after another.  640 was the serial crossover while a trial
-# ran eight dense LUs; without them one BLAS thread no longer makes a serial
-# trial faster (README.md has the measurements), but a lower threshold would
-# tie the default n = 256 output to the core count.
+# concurrently instead.  At and above it BLAS keeps its own threads and trials
+# run one after another.  README.md has the measurements behind the value.
 PIN_BELOW_N = 640
 
 
@@ -120,6 +117,8 @@ class TrialRecord:
     argmax_s: float
     argmax_mu: complex
     seconds: float
+    cond_S: float   # condition estimate of the accepted S
+    redraws: int    # draws of S refused before it
 
 
 def boundary_fit_nodes(config: ExperimentConfig) -> np.ndarray:
@@ -180,14 +179,13 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     nu = (rng.uniform(r["re_min"], r["re_max"], n)
           + 1j * rng.uniform(r["im_min"], r["im_max"], n))
 
-    for attempt in range(MAX_REDRAWS + 1):
+    for redraws in range(MAX_REDRAWS + 1):
         S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
-        Sinv = np.linalg.inv(S)
-        if _norm1(S) * _norm1(Sinv) <= COND_LIMIT:
+        fac = EigenFactorization(S, nu)
+        if fac.cond_estimate <= COND_LIMIT:
             break
     else:
         raise RuntimeError(f"no acceptably conditioned S in {MAX_REDRAWS + 1} draws")
-    fac = EigenFactorization(S, nu, Sinv)
 
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = raw / np.linalg.norm(raw)
@@ -198,7 +196,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     V, _ = build_krylov_basis(fac, b, spec)
     model = reduce(fac, b, V, spec=spec, side="one")
 
-    exact = S @ (np.exp(config.t * nu) * (Sinv @ b))
+    exact = S @ (np.exp(config.t * nu) * fac.solve(b))
     approx = impulse_reduced(model, config.t, kind="vector")
     e0 = float(np.linalg.norm(exact - approx))
 
@@ -211,6 +209,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
         trial=-1, e0=e0, e1=e1, ratio=ratio,
         argmax_s=bres.argmax_s, argmax_mu=bres.argmax_mu,
         seconds=time.perf_counter() - start,
+        cond_S=fac.cond_estimate, redraws=redraws,
     ), model, nu
 
 
@@ -312,6 +311,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "workers": workers,
             "blas_threads": pin,
             "openblas_libraries": len(blas_thread_counts()),
+            "cond_S": [rec.cond_S for rec in records],
+            "redraws": [rec.redraws for rec in records],
         },
     }
     with open(outdir / "summary.json", "w") as fh:

@@ -19,12 +19,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 log = logging.getLogger(__name__)
 
 # Above this one-norm condition estimate an eigenvector matrix is considered
 # numerically useless for S f(D) S^-1 evaluation.
 UNUSABLE_COND = 1e12
+
+# Largest accepted backward error of a solve with S; LU with partial pivoting
+# attains about n * 1e-16.
+BACKWARD_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -89,34 +94,35 @@ def _norm1(m: np.ndarray) -> float:
 
 @dataclass
 class EigenFactorization:
-    """Eigen decomposition A = S diag(eigenvalues) S^-1.
+    """Eigen decomposition A = S diag(eigenvalues) S^-1, with S held as its LU.
 
-    ``Sinv`` is None when the eigenvector matrix was too ill-conditioned to
-    invert reliably; the eigenvalue list is still valid in that case.
+    S^-1 is never formed: ``solve`` and ``solve_adjoint`` apply S^-1 and S^-H
+    through the LU factors and check the backward error of what they return.
+    ``cond_estimate`` is LAPACK's one-norm condition estimate of S (zgecon;
+    N. J. Higham, ACM TOMS 14, 1988), infinite when S is singular.  A
+    factorization is not ``usable`` when S is too ill-conditioned to solve
+    with reliably; the eigenvalue list is still valid in that case.
     """
 
     S: np.ndarray
     eigenvalues: np.ndarray
-    Sinv: np.ndarray | None
-    cond_estimate: float = field(default=np.inf)
+    lu: tuple = field(init=False, repr=False)
+    norm1: float = field(init=False)
+    cond_estimate: float = field(init=False)
 
     def __post_init__(self):
         self.S = as_square_matrix(self.S, "S")
         self.eigenvalues = as_vector(self.eigenvalues, "eigenvalues")
-        n = self.S.shape[0]
-        if self.eigenvalues.size != n:
+        if self.S.shape[0] == 0:
+            raise ValueError("S is empty")
+        if self.eigenvalues.size != self.S.shape[0]:
             raise ValueError("eigenvalue count does not match S")
-        if self.Sinv is not None:
-            self.Sinv = as_square_matrix(self.Sinv, "Sinv")
-            if self.Sinv.shape[0] != n:
-                raise ValueError("Sinv shape does not match S")
-            self.cond_estimate = _norm1(self.S) * _norm1(self.Sinv)
-            resid = np.abs(self.S @ self.Sinv - np.eye(n)).max() if n else 0.0
-            if resid > 1e-8 * max(1.0, self.cond_estimate):
-                raise ValueError(
-                    f"S*Sinv deviates from identity by {resid:.2e}; "
-                    "inversion not trustworthy"
-                )
+        self.norm1 = _norm1(self.S)
+        with _lapack_threads():
+            lu, piv, info = lapack.zgetrf(self.S)
+            rcond = lapack.zgecon(lu, self.norm1)[0] if info == 0 else 0.0
+        self.lu = (lu, piv)
+        self.cond_estimate = 1.0 / rcond if rcond > 0 else np.inf
 
     @property
     def order(self) -> int:
@@ -124,21 +130,35 @@ class EigenFactorization:
 
     @property
     def usable(self) -> bool:
-        return self.Sinv is not None
+        return bool(self.cond_estimate <= UNUSABLE_COND)
 
-    @classmethod
-    def from_eigensystem(cls, S, eigenvalues) -> "EigenFactorization":
-        """Build from eigenvectors/eigenvalues, inverting S if feasible."""
-        S = as_square_matrix(S, "S")
-        eigenvalues = as_vector(eigenvalues, "eigenvalues")
-        try:
-            Sinv = np.linalg.inv(S)
-        except np.linalg.LinAlgError:
-            return cls(S, eigenvalues, None)
-        cond = _norm1(S) * _norm1(Sinv)
-        if not np.isfinite(cond) or cond > UNUSABLE_COND:
-            return cls(S, eigenvalues, None)
-        return cls(S, eigenvalues, Sinv)
+    def solve(self, Y) -> np.ndarray:
+        """S^-1 Y for a vector or a block of columns Y."""
+        return self._solve(Y, adjoint=False)
+
+    def solve_adjoint(self, Y) -> np.ndarray:
+        """S^-H Y for a vector or a block of columns Y."""
+        return self._solve(Y, adjoint=True)
+
+    def _solve(self, Y, adjoint: bool) -> np.ndarray:
+        """M^-1 Y for M = S or S^H, refused when its normwise backward error
+        ||M X - Y||_1 / (||M||_1 ||X||_1) exceeds BACKWARD_TOL."""
+        Y = np.asarray(Y, dtype=np.complex128)
+        with _lapack_threads():
+            X, _ = lapack.zgetrs(*self.lu, Y.reshape(Y.shape[0], -1),
+                                 trans=2 if adjoint else 0)
+        X = X.reshape(Y.shape)
+        if adjoint:  # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
+            MX = (X.conj().T @ self.S).conj().T
+            norm = float(np.abs(self.S).sum(axis=1).max())
+        else:
+            MX, norm = self.S @ X, self.norm1
+        resid, scale = _norm1(MX - Y), norm * _norm1(X)
+        if not resid <= BACKWARD_TOL * scale:
+            err = resid / scale if scale else np.inf
+            raise ValueError(f"solve with S has backward error {err:.2e} (limit "
+                             f"{BACKWARD_TOL:.0e}); its LU factors are not trustworthy")
+        return X
 
 
 def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
@@ -181,8 +201,8 @@ def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
 def eig_small(A) -> EigenFactorization:
     """Dense complex eigen decomposition of a square matrix of any order.
 
-    The eigenpairs are checked by their residual; S^-1 is left out when S is
-    too ill-conditioned to invert (see EigenFactorization.from_eigensystem).
+    The eigenpairs are checked by their residual; the result is flagged
+    unusable when S is singular or too ill-conditioned (see EigenFactorization).
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -196,21 +216,22 @@ def eig_small(A) -> EigenFactorization:
     resid = np.abs(A @ S - S * w[None, :]).max()
     if resid > 1e-8 * max(scale, 1e-300):
         raise ValueError(f"eigen residual {resid:.2e} too large for scale {scale:.2e}")
-    return EigenFactorization.from_eigensystem(S, w)
+    return EigenFactorization(S, w)
 
 
 def factorize(A) -> EigenFactorization:
-    """A as its eigen-factorization with S^-1, the one form the package uses.
+    """A as its eigen-factorization, the one form the package uses.
 
     An EigenFactorization is returned as it is, a matrix goes through
-    eig_small.  Either way S^-1 must exist: the shifted solves, the
-    projection and the bound all apply it.
+    eig_small.  Either way S must be usable: the shifted solves, the
+    projection and the bound all apply S^-1 through its LU.
     """
     fac = A if isinstance(A, EigenFactorization) else eig_small(A)
     if not fac.usable:
         raise ValueError(
             "unusable eigenbasis: the eigenvector matrix S is singular or too "
-            "ill-conditioned to invert (the matrix is defective or nearly so)"
+            f"ill-conditioned to solve with (condition estimate "
+            f"{fac.cond_estimate:.1e}; the matrix is defective or nearly so)"
         )
     return fac
 
@@ -293,9 +314,10 @@ class _OpenBLASPin:
                     self._builds.append((os.path.basename(path), *functions))
         return self._builds
 
-    def enter(self, k: int):
+    def enter(self, k: int, join: bool = False):
+        """Pin to k threads; with join, an entry inside a pin keeps its k."""
         with self._lock:
-            if self._depth and k != self._threads:
+            if self._depth and k != self._threads and not join:
                 raise ValueError(
                     f"blas_threads({k}) inside blas_threads({self._threads})"
                 )
@@ -346,6 +368,22 @@ _PIN = _OpenBLASPin()
 def blas_thread_counts() -> dict:
     """Current thread count of each loaded OpenBLAS build, by library name."""
     return {name: get() for name, get, _ in _PIN.builds()}
+
+
+@contextmanager
+def _lapack_threads():
+    """One BLAS thread for LAPACK calls on S, or the pin already held.
+
+    scipy's LAPACK and numpy's BLAS are separate OpenBLAS builds whose idle
+    threads spin after a call, so a threaded LU next to a threaded product
+    fights over the cores (n = 1024 on 2 cores: a 47 ms zgetrf, then a
+    50 ms GEMM, took 212 ms together).
+    """
+    _PIN.enter(1, join=True)
+    try:
+        yield
+    finally:
+        _PIN.exit()
 
 
 @contextmanager

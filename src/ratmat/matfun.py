@@ -1,8 +1,9 @@
 """Scalar functions applied to matrices.
 
-Matrix functions are only ever evaluated through a known eigen factorization
-or through interpolation; rational functions act on vectors through partial
-fractions and shifted solves, never by forming v(A)^-1.
+Polynomials act on a matrix by nested multiplication; rational functions act
+on vectors through partial fractions and shifted solves, never by forming
+v(A)^-1.  VExpDerivative evaluates the jet (v e^(t.))^(N) of the bound at
+scalar points.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ import scipy.linalg as sla
 
 from .interp import NewtonForm, RationalInterpolant, partial_fractions
 from .jets import FactoredPoly
-from .linalg import EigenFactorization, as_square_matrix, as_vector
-
-
-def matfun_via_factorization(fac: EigenFactorization, f) -> np.ndarray:
-    """f(A) = S diag(f(eigenvalues)) S^-1 for a vectorized scalar f."""
-    if not fac.usable:
-        raise ValueError("eigenvector matrix flagged unusable; cannot form f(A)")
-    vals = np.asarray(f(fac.eigenvalues), dtype=np.complex128)
-    if vals.shape != fac.eigenvalues.shape or not np.all(np.isfinite(vals)):
-        raise ValueError("f undefined (non-finite) at an eigenvalue")
-    return (fac.S * vals[np.newaxis, :]) @ fac.Sinv
+from .linalg import as_square_matrix, as_vector
 
 
 def poly_apply(p: NewtonForm, A) -> np.ndarray:

@@ -7,8 +7,8 @@ orthogonal projection (Ahat, bhat, dhat) = (V^H A V, V^H b, V^H d).
 
 Every entry point takes A as a matrix or as its EigenFactorization
 A = S diag(nu) S^-1 and works on the factorization (linalg.factorize): a
-shifted solve is a division by (lambda - nu) in eigen-coordinates, and A is
-never multiplied out.
+shifted solve is a division by (lambda - nu) in eigen-coordinates, S^-1 is
+applied by solves with the LU of S, and neither A nor S^-1 is formed.
 """
 
 from __future__ import annotations
@@ -132,12 +132,11 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):
     The vectors stay in eigen-coordinates c = S^-1 x0, where a power is a
     product by nu and a resolvent power a division by (lambda - nu); one
     product by S maps all of them back.  The dual side does the same with
-    A^H = S^-H diag(conj(nu)) S^H.  Poles are always given in primal form.
+    A^H = S^-H diag(conj(nu)) S^H: c = S^H x0, and one solve with S^H maps
+    the vectors back.  Poles are always given in primal form.
     """
-    S, nu, Sinv = fac.S, fac.eigenvalues, fac.Sinv
-    if dual:
-        S, nu, Sinv = Sinv.conj().T, nu.conj(), S.conj().T
-    c = Sinv @ x0
+    nu = fac.eigenvalues.conj() if dual else fac.eigenvalues
+    c = (x0.conj() @ fac.S).conj() if dual else fac.solve(x0)
     cols = []
     y = c
     for _ in range(1, kappa0):
@@ -154,7 +153,8 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):
                 cols.append(y)
     vectors = [x0] if kappa0 else []
     if cols:
-        vectors += list((S @ np.column_stack(cols)).T)
+        C = np.column_stack(cols)
+        vectors += list((fac.solve_adjoint(C) if dual else fac.S @ C).T)
     return vectors
 
 
@@ -162,10 +162,10 @@ def build_krylov_basis(A, b, spec: PoleSpec, side: str = "one", d=None,
                        dep_tol: float = 1e-10):
     """Orthonormal basis V of the rational Krylov space, with a kept report.
 
-    A is a matrix or an EigenFactorization with S^-1; each vector costs
-    O(n^2) in eigen-coordinates.  Returns (V, kept): kept lists which
-    generated vectors survived the Gram-Schmidt dependence filter, in
-    generation order.
+    A is a matrix or an EigenFactorization; each vector costs O(n^2) in
+    eigen-coordinates, after one solve with the LU of S.  Returns (V, kept):
+    kept lists which generated vectors survived the Gram-Schmidt dependence
+    filter, in generation order.
     """
     fac = factorize(A)
     b = as_vector(b)
@@ -214,8 +214,9 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
            side: str = "one") -> ReducedModel:
     """Project the system onto the span of the orthonormal columns of V.
 
-    A is a matrix or an EigenFactorization with S^-1; either way
-    Ahat = ((V^H S) diag(nu)) (S^-1 V) without forming A.
+    A is a matrix or an EigenFactorization; either way
+    Ahat = ((V^H S) diag(nu)) (S^-1 V) without forming A, with S^-1 V one
+    block solve with the LU of S.
     """
     fac = factorize(A)
     b = as_vector(b)
@@ -224,7 +225,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
     ortho = np.abs(V.conj().T @ V - np.eye(nh)).max()
     if ortho > 1e-10:
         raise ValueError(f"V is not orthonormal: deviation {ortho:.2e}")
-    Ahat = ((V.conj().T @ fac.S) * fac.eigenvalues) @ (fac.Sinv @ V)
+    Ahat = ((V.conj().T @ fac.S) * fac.eigenvalues) @ fac.solve(V)
     bhat = V.conj().T @ b
     dhat = V.conj().T @ as_vector(d) if d is not None else None
     return ReducedModel(V, Ahat, bhat, dhat, spec=spec, side=side)
@@ -236,14 +237,14 @@ def scalar_impulse_exact(fac: EigenFactorization, b, d, t: float) -> complex:
     b = as_vector(b)
     d = as_vector(d)
     return complex(
-        (d.conj() @ fac.S) @ (np.exp(t * fac.eigenvalues) * (fac.Sinv @ b))
+        (d.conj() @ fac.S) @ (np.exp(t * fac.eigenvalues) * fac.solve(b))
     )
 
 
 def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
     """Reduced impulse response: d^H V e^(Ahat t) bhat or V e^(Ahat t) bhat."""
     fac = factorize(model.reduced_fac)
-    y = fac.S @ (np.exp(t * fac.eigenvalues) * (fac.Sinv @ model.bhat))
+    y = fac.S @ (np.exp(t * fac.eigenvalues) * fac.solve(model.bhat))
     if kind == "vector":
         return model.V @ y
     if kind == "scalar":
@@ -324,8 +325,9 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
     One-sided: bounds ||e^(At) b - V e^(Ahat t) bhat||_2.  Two-sided (d
     given): bounds |d^H e^(At) b - dhat^H e^(Ahat t) bhat|.  The nodes are
     the reduced spectrum, the denominator collects the finite poles with
-    their multiplicities.  A is a matrix or an EigenFactorization with
-    S^-1; a caller that already holds the factorization passes it.
+    their multiplicities.  A is a matrix or an EigenFactorization (S^-1
+    applied through the LU of S); a caller that already holds the
+    factorization passes it.
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")

@@ -6,9 +6,14 @@ from difference stencils.  Agreement between library and oracle is then a
 two-route check instead of a tautology.
 """
 
-import numpy as np
+from math import factorial
 
-from ratmat.interp import NodeList
+import numpy as np
+import scipy.linalg as sla
+
+from ratmat.bounds import BoundQuery
+from ratmat.interp import NodeList, partial_fractions
+from ratmat.linalg import EigenFactorization
 
 
 def taylor_expm(A, terms=30):
@@ -65,6 +70,50 @@ def random_diagonalizable(rng, n, radius=2.0, separation=0.1, cond_limit=1e4):
         raise RuntimeError("no acceptably conditioned S found")
     A = (S * ev[None, :]) @ Sinv
     return A, S, ev, Sinv
+
+
+def matfun_via_factorization(fac: EigenFactorization, f) -> np.ndarray:
+    """f(A) = S diag(f(eigenvalues)) S^-1 for a vectorized scalar f.
+
+    S^-1 is formed densely here, which the library never does.
+    """
+    if not fac.usable:
+        raise ValueError("eigenvector matrix flagged unusable; cannot form f(A)")
+    vals = np.asarray(f(fac.eigenvalues), dtype=np.complex128)
+    if vals.shape != fac.eigenvalues.shape or not np.all(np.isfinite(vals)):
+        raise ValueError("f undefined (non-finite) at an eigenvalue")
+    return (fac.S * vals[np.newaxis, :]) @ np.linalg.inv(fac.S)
+
+
+def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
+    """The bounded matrix Omega(A)[v(A)]^-1 (vf)^(N)((1-s)mu I + s A)/N!.
+
+    Omega(A)[v(A)]^-1 goes through the partial fractions of Omega/v (shifted
+    solves, no explicit inverse of v(A)); the derivative factor goes through
+    the factorization with a dense S^-1.
+    """
+    A = (q.fac.S * q.fac.eigenvalues[np.newaxis, :]) @ np.linalg.inv(q.fac.S)
+    n = A.shape[0]
+    pf = partial_fractions(q.omega.coeffs(), q.v)
+    K = np.zeros((n, n), dtype=np.complex128)
+    if pf.quotient.size:
+        acc = pf.quotient[-1] * np.eye(n, dtype=np.complex128)
+        for c in pf.quotient[-2::-1]:
+            acc = A @ acc
+            acc[np.diag_indices(n)] += c
+        K += acc
+    for pole, res in zip(pf.poles, pf.residues):
+        lu = sla.lu_factor(A - pole * np.eye(n))
+        X = np.eye(n, dtype=np.complex128)
+        for coeff in res:
+            X = sla.lu_solve(lu, X)
+            if not np.all(np.isfinite(X)):
+                raise ValueError(f"pole meets spectrum: solve at {pole} diverged")
+            K += coeff * X
+    F = matfun_via_factorization(
+        q.fac, lambda w: q.vf_derivative((1.0 - s) * mu + s * w)
+    ) / float(factorial(q.N))
+    return K @ F
 
 
 def dense_krylov_vectors(A, x, kappa0, pole_mults, dual):

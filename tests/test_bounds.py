@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_diagonalizable, taylor_expm
+from oracles import bound_core_matrix, random_diagonalizable, taylor_expm
 from ratmat.bounds import (
     BoundQuery,
     bound_bilinear,
-    bound_core_matrix,
     bound_vector,
     numerical_range_box,
 )
@@ -22,7 +21,7 @@ from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
 def _fac(rng, n, radius=1.0):
     A, S, ev, Sinv = random_diagonalizable(rng, n, radius=radius)
-    return A, EigenFactorization(S, ev, Sinv)
+    return A, EigenFactorization(S, ev)
 
 
 def test_core_matrix_vanishes_on_spectrum_nodes():
@@ -50,7 +49,8 @@ def test_core_matrix_diagonal_factor_route():
     so the per-eigenvalue factors need no library code at all.
     """
     rng = np.random.default_rng(131)
-    A, fac = _fac(rng, 6)
+    A, S, ev, Sinv = random_diagonalizable(rng, 6, radius=1.0)
+    fac = EigenFactorization(S, ev)
     nodes = NodeList(0.7 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
     v = FactoredPoly([3.0], [1], 1.0)
     q = BoundQuery(fac, nodes, v, t=1.0)
@@ -60,7 +60,7 @@ def test_core_matrix_diagonal_factor_route():
     omega = np.prod(ev[:, None] - nodes.nodes[None, :], axis=1)
     xi = (1 - s) * mu + s * ev
     h = omega / (ev - 3.0) * (xi * np.exp(xi)) / math.factorial(3)
-    ref = (fac.S * h[None, :]) @ fac.Sinv
+    ref = (fac.S * h[None, :]) @ Sinv
     assert np.abs(core - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
@@ -111,13 +111,14 @@ def test_bound_grid_refinement_stability():
 def test_bound_bilinear_orthogonal_output():
     """d orthogonal to the core's image sends the bilinear bound to zero."""
     rng = np.random.default_rng(151)
-    A, fac = _fac(rng, 5)
+    A, S, ev, Sinv = random_diagonalizable(rng, 5, radius=1.0)
+    fac = EigenFactorization(S, ev)
     # first node is an exact eigenvalue, so column 1 of the factor table dies
     nodes = NodeList([fac.eigenvalues[0], 0.3 + 0.1j, -0.2])
     v = FactoredPoly([4.0], [1], 1.0)
     q = BoundQuery(fac, nodes, v)
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    d = fac.Sinv.conj().T[:, 0]
+    d = Sinv.conj().T[:, 0]
     ref = bound_vector(q, b).value
     res = bound_bilinear(q, b, d)
     assert res.value <= 1e-10 * max(1.0, ref * np.linalg.norm(d))
@@ -206,7 +207,7 @@ def test_bound_query_validation():
         BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_grid=[0.0, 0.5])
     with pytest.raises(ValueError):
         BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_samples=1)
-    bad = EigenFactorization.from_eigensystem(np.diag([1.0, 1e-13]), [1.0, 2.0])
+    bad = EigenFactorization(np.diag([1.0, 1e-13]), [1.0, 2.0])
     with pytest.raises(ValueError, match="unusable"):
         BoundQuery(bad, NodeList([0.0]), FactoredPoly((), (), 1.0))
 
@@ -235,8 +236,8 @@ def test_bound_vector_exp_route_matches_generic_jet():
           + 1j * rng.uniform(r["im_min"], r["im_max"], config.n))
     S = (rng.uniform(-1.0, 1.0, (config.n, config.n))
          + 1j * rng.uniform(-1.0, 1.0, (config.n, config.n)))
-    fac = EigenFactorization.from_eigensystem(S, nu)
-    A = (S * nu) @ fac.Sinv
+    fac = EigenFactorization(S, nu)
+    A = (S * nu) @ np.linalg.inv(S)
     b = rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
     b /= np.linalg.norm(b)
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))

@@ -156,7 +156,8 @@ def test_bound_above_order_64(tmp_path, capsys):
 
 
 def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
-    """xp bound takes no dense LU and one eig each for A and for Ahat."""
+    """xp bound takes no LU of a shifted matrix and one eig each for A and
+    for Ahat; S^-1 goes through LAPACK's LU of S, not scipy.linalg's."""
     A, b, d = _rectangle_system(np.random.default_rng(32), 32)
     args = _bound_args(tmp_path, A, b, _fitted_spec(chi=1), d=d)
 
@@ -177,6 +178,19 @@ def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
     assert main(args) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["e1"] > 0.0
     assert calls == [32, 18]
+
+
+def test_bound_forms_no_inverse(tmp_path, capsys, monkeypatch):
+    """S^-1 of A and of Ahat is applied by solves; no inverse is formed."""
+    A, b, d = _rectangle_system(np.random.default_rng(64), 64)
+    args = _bound_args(tmp_path, A, b, _fitted_spec(chi=1), d=d)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("xp bound called np.linalg.inv")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert main(args) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["e1"] > 0.0
 
 
 def test_bound_defective_matrix(tmp_path, capsys):

@@ -108,6 +108,29 @@ def test_run_trial_takes_no_dense_lu(monkeypatch):
     assert 0.0 < rec.e0 <= rec.e1 * 1.05
 
 
+def test_run_trial_forms_no_inverse(monkeypatch):
+    """S^-1 is applied by solves with the LU of S; no inverse is formed."""
+    config = ExperimentConfig(n=32, trials=1)
+    poles = derive_poles(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial called np.linalg.inv")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    rec = run_trial(config, poles, np.random.default_rng([0, 3]))
+    assert 0.0 < rec.e0 <= rec.e1 * 1.05
+    assert rec.redraws == 0 and 1.0 <= rec.cond_S <= experiment.COND_LIMIT
+
+
+def test_run_trial_gives_up_after_max_redraws(monkeypatch):
+    monkeypatch.setattr(experiment, "COND_LIMIT", 1e-6)
+    config = ExperimentConfig(n=16, trials=1)
+    poles = derive_poles(config)
+    with pytest.raises(RuntimeError,
+                       match="no acceptably conditioned S in 11 draws"):
+        run_trial(config, poles, np.random.default_rng([0, 0]))
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -138,6 +161,13 @@ def test_run_experiment_outputs(tmp_path):
 
     stored = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert stored["mean_ratio"] == summary["mean_ratio"]
+    # per-trial condition estimates and redraw counts, in trial order
+    diagnostics = stored["diagnostics"]
+    assert diagnostics["redraws"] == [0, 0, 0, 0]
+    for k, cond in enumerate(diagnostics["cond_S"]):
+        rec = run_trial(config, derive_poles(config),
+                        np.random.default_rng([11, k]))
+        assert cond == rec.cond_S and 1.0 <= cond <= experiment.COND_LIMIT
 
     fig = _read_rows(tmp_path / "out" / "figure.csv")
     counts = {}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratmat.geometry import (
     clip_polygon_halfplane,
@@ -68,6 +70,19 @@ def test_boundary_samples_include_vertices_random():
     assert out.size == hull.size + 13
     for v in hull:
         assert np.abs(out - v).min() <= 1e-15
+
+
+@given(
+    nodes=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=20),
+    extra=st.integers(0, 40),
+)
+def test_boundary_samples_lie_in_hull(nodes, extra):
+    """Every boundary sample lies on or inside the hull of the nodes."""
+    hull = convex_hull(nodes)
+    out = hull_boundary_samples(hull, hull.size + extra)
+    slack = 1e-12 * max(1.0, float(np.abs(nodes).max()))
+    for z in out:
+        assert polygon_contains(hull, z, slack=slack)
 
 
 def test_boundary_samples_count_too_small():

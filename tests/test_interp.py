@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import contour_divdiff_oracle, genocchi_hermite_oracle
@@ -355,6 +355,32 @@ def test_partial_fractions_probe_identity():
     z = 4.0 * (rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20))
     z = z[np.abs(v(z)) > 1e-3]  # stay away from the poles
     direct = npp.polyval(z, omega) / v(z)
+    assert np.abs(pf(z) - direct).max() <= 1e-8 * max(1.0, np.abs(direct).max())
+
+
+# pole sites at least 1 apart, and the probe points' distance from them
+_PF_SITES = [1.0, -2.0 + 0.5j, 0.5 - 1.5j, 3.0j, -1.0 - 1.0j]
+_PF_GAP = 0.1
+
+
+@given(
+    poles=st.lists(st.tuples(st.sampled_from(_PF_SITES), st.integers(1, 3)),
+                   min_size=1, max_size=4, unique_by=lambda p: p[0]),
+    omega=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                   min_size=1, max_size=9),
+    scale=st.sampled_from([1.0, -3.0, 0.5j]),
+    probes=st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=8),
+)
+def test_partial_fractions_reconstruct_quotient(poles, omega, scale, probes):
+    """Omega/v = quotient + pole terms at probe points off the poles."""
+    coeffs = np.array([complex(re, im) for re, im in omega])
+    assume(np.any(coeffs))
+    v = FactoredPoly([p for p, _ in poles], [m for _, m in poles], scale)
+    z = np.array(probes)
+    z = z[np.abs(z[:, None] - v.roots[None, :]).min(axis=1) > _PF_GAP]
+    assume(z.size)
+    pf = partial_fractions(coeffs, v)
+    direct = npp.polyval(z, coeffs) / v(z)
     assert np.abs(pf(z) - direct).max() <= 1e-8 * max(1.0, np.abs(direct).max())
 
 

@@ -66,20 +66,67 @@ def test_eigen_factorization_checks_inverse():
     rng = np.random.default_rng(11)
     S = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     ev = rng.standard_normal(4)
-    fac = EigenFactorization(S, ev, np.linalg.inv(S))
+    fac = EigenFactorization(S, ev)
     assert fac.usable and fac.order == 4
+    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert np.linalg.norm(S @ fac.solve(y) - y) <= 1e-12 * np.linalg.norm(y)
+    # corrupted LU factors no longer solve with S, and the backward error of
+    # each solve says so
+    fac.lu[0][1, 2] += 0.1
+    with pytest.raises(ValueError, match="backward error"):
+        fac.solve(y)
+    with pytest.raises(ValueError, match="backward error"):
+        fac.solve_adjoint(np.column_stack([y, 2 * y]))
     with pytest.raises(ValueError):
-        EigenFactorization(S, ev, np.linalg.inv(S) + 0.1)
-    with pytest.raises(ValueError):
-        EigenFactorization(S, ev[:3], np.linalg.inv(S))
+        EigenFactorization(S, ev[:3])
+    with pytest.raises(ValueError, match="empty"):
+        EigenFactorization(np.zeros((0, 0)), [])
 
 
-def test_from_eigensystem_flags_unusable():
+def test_eigen_factorization_flags_unusable():
     # cond ~ 1e13 exceeds the usability threshold; eigenvalues stay valid
     S = np.diag([1.0, 1e-13]).astype(complex)
-    fac = EigenFactorization.from_eigensystem(S, [1.0, 2.0])
+    fac = EigenFactorization(S, [1.0, 2.0])
     assert not fac.usable
     assert np.array_equal(fac.eigenvalues, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cols", [None, 3])
+def test_solve_and_solve_adjoint_match_numpy(seed, cols):
+    rng = np.random.default_rng([19, seed])
+    n = 9
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    fac = EigenFactorization(S, np.arange(n))
+    assert abs(fac.cond_estimate / np.linalg.cond(S, 1) - 1.0) <= 0.5
+    shape = (n,) if cols is None else (n, cols)
+    Y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for got, M in ((fac.solve(Y), S), (fac.solve_adjoint(Y), S.conj().T)):
+        ref = np.linalg.solve(M, Y)
+        assert got.shape == ref.shape
+        tol = 1e-14 * fac.cond_estimate * np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref) <= tol
+
+
+def test_factorize_refuses_nearly_parallel_and_singular_S():
+    """An S the dense-inverse check refused is refused by its estimate too."""
+    rng = np.random.default_rng(29)
+    n = 8
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ev = np.arange(n) + 0.5j
+    # two nearly parallel columns: cond ~ 1e15
+    near = S.copy()
+    near[:, 1] = near[:, 0] + 1e-15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert np.linalg.cond(near, 1) > 1e14
+    # a zero column: exactly singular, the LU meets a zero pivot
+    singular = S.copy()
+    singular[:, 3] = 0.0
+    for bad in (near, singular):
+        fac = EigenFactorization(bad, ev)
+        assert not fac.usable and fac.cond_estimate > linalg.UNUSABLE_COND
+        with pytest.raises(ValueError, match="unusable eigenbasis"):
+            factorize(fac)
+    assert EigenFactorization(singular, ev).cond_estimate == np.inf
 
 
 def test_mgs_identity_basis():
@@ -144,7 +191,7 @@ def test_eig_small_order_limit():
 
 
 def test_factorize_converts_once():
-    fac = EigenFactorization(np.eye(2), [1.0, 2.0], np.eye(2))
+    fac = EigenFactorization(np.eye(2), [1.0, 2.0])
     assert factorize(fac) is fac
     got = factorize(np.diag([1.0, 2.0j]))
     assert sorted(got.eigenvalues, key=abs) == [1.0, 2.0j]
@@ -245,6 +292,33 @@ def test_blas_threads_none_changes_nothing():
     with blas_threads(None):
         assert blas_thread_counts() == before
     assert blas_thread_counts() == before
+
+
+def test_lapack_on_S_runs_on_one_thread_or_the_held_pin(monkeypatch):
+    """The LU and the solves with S run on one thread outside a pin, keep the
+    count of a pin they run in, and leave the counts as they found them."""
+    before = _openblas_counts()
+    seen = []
+
+    def counted(name):
+        routine = getattr(linalg.lapack, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, set(blas_thread_counts().values())))
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.lapack, name, call)
+
+    for name in ("zgetrf", "zgetrs"):
+        counted(name)
+    S = np.eye(3) + 0.1j
+    EigenFactorization(S, [1.0, 2.0, 3.0]).solve(np.ones(3))
+    assert blas_thread_counts() == before
+    with blas_threads(2):
+        EigenFactorization(S, [1.0, 2.0, 3.0]).solve_adjoint(np.ones(3))
+    assert blas_thread_counts() == before
+    assert seen == [("zgetrf", {1}), ("zgetrs", {1}),
+                    ("zgetrf", {2}), ("zgetrs", {2})]
 
 
 def test_blas_threads_nested_restores_once():
