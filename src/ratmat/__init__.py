@@ -8,7 +8,6 @@ from .bounds import (
     BoundResult,
     bound_bilinear,
     bound_vector,
-    numerical_range_box,
 )
 from .experiment import (
     ExperimentConfig,
@@ -17,7 +16,7 @@ from .experiment import (
     run_experiment,
     run_trial,
 )
-from .geometry import convex_hull, hull_boundary_samples, polygon_contains
+from .geometry import convex_hull, hull_boundary_samples
 from .interp import (
     NewtonForm,
     NodeList,
@@ -31,10 +30,16 @@ from .interp import (
     rational_interpolate_fixed_denominator,
     remainder_scalar,
 )
-from .jets import ExpJet, FactoredPoly, FunctionJet, PolyJet, ProductJet
+from .jets import (
+    ExpJet,
+    FactoredPoly,
+    FunctionJet,
+    PolyJet,
+    ProductJet,
+    VExpDerivative,
+)
 from .linalg import (
     EigenFactorization,
-    eig_extreme_hermitian,
     eig_small,
     factorize,
     matrix_from_json,
@@ -43,11 +48,6 @@ from .linalg import (
     poly_roots,
     vector_from_json,
     vector_to_json,
-)
-from .matfun import (
-    VExpDerivative,
-    poly_apply,
-    rational_apply,
 )
 from .rom import (
     FinitePole,

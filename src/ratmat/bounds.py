@@ -1,5 +1,5 @@
-"""Certified a-posteriori error bounds for rational approximation of matrix
-functions, plus numerical-range utilities.
+"""Certified a-posteriori error bounds for rational approximation of the
+matrix exponential.
 
 The central quantity is, for interpolation nodes z_1..z_N (node polynomial
 Omega), denominator v, and f = exp_t,
@@ -9,28 +9,21 @@ Omega), denominator v, and f = exp_t,
 
 in bilinear and vector-norm flavors.  The maximum over the hull
 is taken over boundary samples only (maximum modulus), and the s range over a
-uniform grid; both grids are part of the query and the result.
+uniform grid; both grid sizes are part of the query and the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, pi
+from math import factorial
 
 import numpy as np
 
-from .geometry import clip_polygon_halfplane, convex_hull, hull_boundary_samples
+from .geometry import convex_hull, hull_boundary_samples
 from .interp import CONFLUENCE_TOL, NodeList
-from .jets import ExpJet, FactoredPoly, ProductJet
+from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
-from .linalg import (  # noqa: F401
-    as_square_matrix,
-    as_vector,
-    eig_extreme_hermitian,
-    eig_small,
-    factorize,
-)
-from .matfun import VExpDerivative
+from .linalg import as_vector, eig_small, factorize  # noqa: F401
 
 
 @dataclass
@@ -56,21 +49,21 @@ class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
     ``A`` is a matrix or an EigenFactorization (see linalg.factorize), whose
-    LU applies S^-1 to b.  ``v`` is the fixed denominator; ``f`` defaults to
-    exp_t with the given t.  The evaluation always runs through the
-    factorization; the denominator is checked against the spectrum.
+    LU applies S^-1 to b.  ``v`` is the fixed denominator and f = exp_t, so
+    ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) at an array of
+    points.  The evaluation always runs through the factorization; the
+    denominator is checked against the spectrum.
     """
 
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
-                 f=None, s_samples: int = 11, mu_samples: int = 50,
-                 s_grid=None, mu_points=None):
+                 s_samples: int = 11, mu_samples: int = 50):
+        if s_samples < 2:
+            raise ValueError("need at least the endpoints in the s grid")
         self.fac = factorize(A)
         self.nodes = nodes
         self.v = v
-        self.f = ExpJet(t) if f is None else f
         self.N = len(nodes)
-        self._vexp = (VExpDerivative(v, self.f.t, self.N)
-                      if isinstance(self.f, ExpJet) else None)
+        self.vf_derivative = VExpDerivative(v, t, self.N)
         self.omega = nodes.omega()
 
         ev = self.fac.eigenvalues
@@ -85,28 +78,9 @@ class BoundQuery:
         self.weights = self.omega(ev) / v_at_ev
 
         self.hull = convex_hull(nodes.nodes)
-        if mu_points is None:
-            want = max(mu_samples, self.hull.size)
-            self.mu_points = hull_boundary_samples(self.hull, want)
-        else:
-            self.mu_points = as_vector(mu_points, "mu_points")
-        if s_grid is None:
-            if s_samples < 2:
-                raise ValueError("need at least the endpoints in the s grid")
-            self.s_grid = np.linspace(0.0, 1.0, s_samples)
-        else:
-            self.s_grid = np.asarray(s_grid, dtype=float)
-            if not (np.any(self.s_grid == 0.0) and np.any(self.s_grid == 1.0)):
-                raise ValueError("s grid must contain 0 and 1")
+        self.mu_points = hull_boundary_samples(self.hull, max(mu_samples, self.hull.size))
+        self.s_grid = np.linspace(0.0, 1.0, s_samples)
         self._grid_cache = None
-
-    # -- scalar derivative factor ------------------------------------------
-
-    def vf_derivative(self, points):
-        """(v f)^(N) at an array of points."""
-        if self._vexp is not None:
-            return self._vexp(points)
-        return ProductJet(self.v, self.f).eval(points, self.N)[self.N]
 
     # -- grid machinery ----------------------------------------------------
 
@@ -158,33 +132,3 @@ def bound_bilinear(q: BoundQuery, b, d) -> BoundResult:
     u = d.conj() @ q.fac.S
     return q._result(np.abs(H @ (u * c)))
 
-
-def numerical_range_box(A, angles=(0.0, -pi / 2)) -> np.ndarray:
-    """Convex polygon containing the numerical range of A.
-
-    Intersection over the given angles phi of the strips
-
-        q_min <= Re(e^(-i phi) lambda) <= q_max
-
-    where q_min/q_max are the extreme eigenvalues of the Hermitian part of
-    e^(-i phi) A.  Each strip is widened by a ~1e-12 safety pad so the
-    intersection cannot collapse to the empty set through rounding.
-    """
-    A = as_square_matrix(A)
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.size == 0:
-        raise ValueError("need at least one angle")
-    scale = float(np.linalg.norm(A)) if A.size else 0.0
-    pad = 1e-12 * max(1.0, scale)
-    R = 2.0 * scale + 1.0
-    poly = np.array([R * (-1 - 1j), R * (1 - 1j), R * (1 + 1j), R * (-1 + 1j)])
-    for phi in angles:
-        rot = np.exp(-1j * phi)
-        H = 0.5 * (rot * A + (rot * A).conj().T)
-        qmin, qmax = eig_extreme_hermitian(H)
-        n = np.exp(1j * phi)
-        poly = clip_polygon_halfplane(poly, (qmax + pad) * n, n)
-        poly = clip_polygon_halfplane(poly, (qmin - pad) * n, -n)
-        if poly.size == 0:
-            raise RuntimeError("strip intersection emptied; numerical failure")
-    return convex_hull(poly)

@@ -12,10 +12,11 @@ so trials are reproducible independently of execution order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,36 @@ MAX_REDRAWS = 10
 # concurrently instead.  At and above it BLAS keeps its own threads and trials
 # run one after another.  README.md has the measurements behind the value.
 PIN_BELOW_N = 640
+
+_INT_KEYS = ("n", "trials", "boundary_nodes", "mu_samples", "s_samples", "seed")
+_RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _real(key: str, value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"config: {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _rectangle(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config: rectangle must be an object, got {value!r}")
+    for key in value:
+        if key not in _RECTANGLE_KEYS:
+            raise ValueError(f"config: unknown rectangle key {key!r}")
+    for key in _RECTANGLE_KEYS:
+        if key not in value:
+            raise ValueError(f"config: rectangle is missing {key!r}")
+    return {k: _real(f"rectangle.{k}", v) for k, v in value.items()}
 
 
 @dataclass
@@ -80,21 +111,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
+        """Config from a decoded JSON object; absent keys keep their default.
+
+        An unknown key, a value of the wrong type, a rectangle without
+        exactly its four bounds or a fit_degree that is not a pair raises
+        ValueError naming the key.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"config: expected a JSON object, got {obj!r}")
+        known = {f.name for f in fields(cls)}
         kw = {}
-        for key in ("n", "trials", "boundary_nodes", "mu_samples",
-                    "s_samples", "seed"):
-            if key in obj:
-                kw[key] = int(obj[key])
-        for key in ("t",):
-            if key in obj:
-                kw[key] = float(obj[key])
-        if "rectangle" in obj:
-            kw["rectangle"] = {k: float(v) for k, v in obj["rectangle"].items()}
-        if "fit_degree" in obj:
-            L, M = obj["fit_degree"]
-            kw["fit_degree"] = (int(L), int(M))
-        if "outdir" in obj:
-            kw["outdir"] = str(obj["outdir"])
+        for key, value in obj.items():
+            if key not in known:
+                raise ValueError(f"config: unknown key {key!r}")
+            if key in _INT_KEYS:
+                kw[key] = _integer(key, value)
+            elif key == "t":
+                kw[key] = _real(key, value)
+            elif key == "rectangle":
+                kw[key] = _rectangle(value)
+            elif key == "fit_degree":
+                if not isinstance(value, list) or len(value) != 2:
+                    raise ValueError(f"config: fit_degree must be a pair [L, M], "
+                                     f"got {value!r}")
+                kw[key] = tuple(_integer("fit_degree", x) for x in value)
+            elif not isinstance(value, str):  # outdir, the one string key
+                raise ValueError(f"config: outdir must be a string, got {value!r}")
+            else:
+                kw[key] = value
         return cls(**kw)
 
     def to_json(self) -> dict:

@@ -53,40 +53,6 @@ def convex_hull(points) -> np.ndarray:
     return np.array(hull)
 
 
-def polygon_contains(vertices, z: complex, slack: float = 0.0) -> bool:
-    """Point-in-convex-polygon test with absolute slack outward.
-
-    ``vertices`` must be in counterclockwise order; degenerate polygons
-    (segments, single points) are handled by distance.
-    """
-    verts = as_vector(vertices, "vertices")
-    m = verts.size
-    if m == 0:
-        raise ValueError("empty polygon")
-    if m == 1:
-        return abs(z - verts[0]) <= slack
-    if m == 2:
-        return _point_segment_distance(z, verts[0], verts[1]) <= slack
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        edge = b - a
-        # signed distance of z from edge line, positive inside (ccw order)
-        s = _cross(a, b, z) / abs(edge)
-        if s < -slack:
-            return False
-    return True
-
-
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(z - a)
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
-
-
 def hull_boundary_samples(vertices, count: int) -> np.ndarray:
     """``count`` points on the boundary of a convex polygon.
 
@@ -130,39 +96,3 @@ def hull_boundary_samples(vertices, count: int) -> np.ndarray:
             out.append(closed[i] + seg[i] * (j / (k + 1)))
     return np.array(out)
 
-
-def clip_polygon_halfplane(vertices, a: complex, n: complex) -> np.ndarray:
-    """Clip a ccw convex polygon to the half-plane Re(conj(n) (z - a)) <= 0.
-
-    ``n`` is the outward normal of the boundary line through ``a``.
-    Returns the (possibly empty) clipped vertex array.
-    """
-    verts = as_vector(vertices, "vertices")
-    if verts.size == 0:
-        return verts
-
-    def side(z: complex) -> float:
-        return (np.conj(n) * (z - a)).real
-
-    out: list[complex] = []
-    m = verts.size
-    for i in range(m):
-        p, q = verts[i], verts[(i + 1) % m]
-        sp, sq = side(p), side(q)
-        if sp <= 0:
-            out.append(p)
-            if sq > 0:
-                out.append(p + (q - p) * (sp / (sp - sq)))
-        elif sq <= 0:
-            out.append(p + (q - p) * (sp / (sp - sq)))
-    if not out:
-        return np.array([], dtype=np.complex128)
-    # dedup consecutive near-identical corners from tangential cuts
-    scale = max(abs(z) for z in out) or 1.0
-    dedup: list[complex] = []
-    for z in out:
-        if not dedup or abs(z - dedup[-1]) > 1e-14 * scale:
-            dedup.append(z)
-    if len(dedup) > 1 and abs(dedup[0] - dedup[-1]) <= 1e-14 * scale:
-        dedup.pop()
-    return np.array(dedup)

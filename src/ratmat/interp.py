@@ -17,7 +17,7 @@ import numpy.polynomial.polynomial as npp
 from .jets import FactoredPoly, PolyJet, ProductJet, jet_divide
 from .linalg import as_vector
 
-# Nodes closer than this (absolute) are treated as one confluent node.
+# Nodes closer than this, relative to max(1, max |z|), are one confluent node.
 CONFLUENCE_TOL = 1e-12
 
 
@@ -26,13 +26,15 @@ class NodeList:
 
     Canonicalization snaps nodes within the confluence tolerance to the first
     occurrence and stores equal nodes adjacently; distinct values keep their
-    first-appearance order.
+    first-appearance order.  ``tol`` is relative: two nodes merge when they
+    are within tol * max(1, max |z|) of each other.
     """
 
     def __init__(self, nodes, tol: float = CONFLUENCE_TOL):
         raw = as_vector(nodes, "nodes")
         if raw.size == 0:
             raise ValueError("empty node list")
+        tol = tol * max(1.0, float(np.abs(raw).max()))
         reps: list[complex] = []
         counts: list[int] = []
         for z in raw:
@@ -212,7 +214,6 @@ class UnattainablePointError(ValueError):
 class RationalFit:
     """Result of a linearized multipoint rational fit."""
 
-    interpolant: RationalInterpolant
     u_coeffs: np.ndarray
     v_coeffs: np.ndarray
     poles: np.ndarray
@@ -286,11 +287,8 @@ def linearized_rational_fit(samples, L: int, M: int) -> RationalFit:
         raise UnattainablePointError(int(bad[0]), complex(pts[bad[0]]))
 
     residuals = np.abs(npp.polyval(pts, u_c) / v_at - vals)
-    v_poly = FactoredPoly.from_coeffs(v_c)
-    node_list = NodeList(pts)
-    u_newton = hermite_interpolate(PolyJet(u_c), node_list)
-    interpolant = RationalInterpolant(u_newton, v_poly, node_list)
-    return RationalFit(interpolant, u_c, v_c, v_poly.roots.copy(), residuals)
+    poles = FactoredPoly.from_coeffs(v_c).roots
+    return RationalFit(u_c, v_c, poles, residuals)
 
 
 @dataclass

@@ -6,7 +6,8 @@ A jet function exposes ``eval(z, order)`` returning the stack
 
 as an array of shape ``(order+1,) + shape(z)``; ``z`` may be a scalar or any
 ndarray.  Derivatives are raw (not divided by factorials).  Implementations
-must be vectorized over ``z``.
+must be vectorized over ``z``.  VExpDerivative is the one derivative the
+bound needs, (v e^(t.))^(N), in closed form.
 """
 
 from __future__ import annotations
@@ -207,3 +208,34 @@ def jet_divide(F, G):
             acc -= comb(m, k) * G[k] * H[m - k]
         H[m] = acc / G[0]
     return H
+
+
+class VExpDerivative:
+    """The N-th derivative of z -> v(z) e^(t z) in closed form.
+
+    (v exp_t)^(N)(z) = e^(t z) w(z) with the single polynomial
+    w = sum_{j<=min(N, deg v)} C(N,j) t^(N-j) v^(j) of degree deg v.  The
+    coefficients of w are precomputed here; a call is one Horner pass over z
+    times e^(t z).  Vectorized over z.
+    """
+
+    def __init__(self, v: FactoredPoly, t: float, N: int):
+        if N < 0:
+            raise ValueError("derivative order must be >= 0")
+        self.v = v
+        self.t = float(t)
+        self.N = int(N)
+        d = v.coeffs()
+        w = np.zeros(d.size, dtype=np.complex128)
+        for j in range(min(self.N, v.degree) + 1):
+            w[: d.size] += comb(self.N, j) * self.t ** (self.N - j) * d
+            d = npp.polyder(d)
+        self.w = w
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=np.complex128)
+        acc = np.full(z.shape, self.w[-1], dtype=np.complex128)
+        for c in self.w[-2::-1]:
+            acc *= z
+            acc += c
+        return acc * np.exp(self.t * z)

@@ -66,14 +66,24 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{name}: expected keys rows/cols/data") from exc
+    if not isinstance(data, list):
+        raise ValueError(f"{name}: data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(
             f"{name}: data length {len(data)} does not match {rows}x{cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return as_matrix(flat.reshape(rows, cols), name)
+    values = []
+    for i, entry in enumerate(data):
+        try:
+            re, im = entry
+            values.append(complex(re, im))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{name}: entry {i} is not a [re, im] pair of numbers: {entry!r}"
+            ) from exc
+    return as_matrix(np.array(values, dtype=np.complex128).reshape(rows, cols), name)
 
 
 def vector_to_json(v) -> dict:
@@ -234,24 +244,6 @@ def factorize(A) -> EigenFactorization:
             f"{fac.cond_estimate:.1e}; the matrix is defective or nearly so)"
         )
     return fac
-
-
-def eig_extreme_hermitian(A):
-    """Extreme eigenvalues (min, max) of a Hermitian matrix.
-
-    The input is symmetrized internally; it must be Hermitian to a tolerance
-    of 1e-10 times its largest entry.
-    """
-    A = as_square_matrix(A)
-    if A.shape[0] == 0:
-        raise ValueError("empty matrix")
-    scale = np.abs(A).max()
-    asym = np.abs(A - A.conj().T).max()
-    if asym > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.2e})")
-    H = 0.5 * (A + A.conj().T)
-    w = np.linalg.eigvalsh(H)
-    return float(w[0]), float(w[-1])
 
 
 def poly_roots(coeffs):

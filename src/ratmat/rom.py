@@ -197,9 +197,7 @@ class ReducedModel:
 
     def __post_init__(self):
         self.reduced_fac = eig_small(self.Ahat)
-        ev = self.reduced_fac.eigenvalues
-        tol = CLUSTER_TOL * max(1.0, float(np.abs(ev).max()))
-        self.reduced_nodes = NodeList(ev, tol=tol)
+        self.reduced_nodes = NodeList(self.reduced_fac.eigenvalues, tol=CLUSTER_TOL)
 
     @property
     def order(self) -> int:

@@ -2,18 +2,28 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 matrix exponentials come from a scaled-and-squared Taylor sum, derivatives
-from difference stencils.  Agreement between library and oracle is then a
-two-route check instead of a tautology.
+from difference stencils, p(A) and r(A) b from the matrix A itself by
+products and shifted LU solves.  Agreement between library and oracle is
+then a two-route check instead of a tautology.  The numerical-range box and
+its polygon helpers live here too: only the tests use them, to check where
+the reduced spectrum lies.
 """
 
-from math import factorial
+from math import factorial, pi
 
 import numpy as np
 import scipy.linalg as sla
 
 from ratmat.bounds import BoundQuery
-from ratmat.interp import NodeList, partial_fractions
-from ratmat.linalg import EigenFactorization
+from ratmat.geometry import convex_hull
+from ratmat.interp import (
+    NewtonForm,
+    NodeList,
+    PartialFractions,
+    RationalInterpolant,
+    partial_fractions,
+)
+from ratmat.linalg import EigenFactorization, as_square_matrix, as_vector
 
 
 def taylor_expm(A, terms=30):
@@ -85,6 +95,55 @@ def matfun_via_factorization(fac: EigenFactorization, f) -> np.ndarray:
     return (fac.S * vals[np.newaxis, :]) @ np.linalg.inv(fac.S)
 
 
+def apply_partial_fractions(pf: PartialFractions, A, X) -> np.ndarray:
+    """pf(A) X for a vector or a block of columns X.
+
+    The quotient goes through Horner in A, each pole term through repeated
+    solves with one LU of (A - pole I).
+    """
+    n = A.shape[0]
+    out = np.zeros_like(X)
+    if pf.quotient.size:
+        acc = pf.quotient[-1] * X
+        for c in pf.quotient[-2::-1]:
+            acc = A @ acc + c * X
+        out = out + acc
+    for pole, res in zip(pf.poles, pf.residues):
+        lu = sla.lu_factor(A - pole * np.eye(n))
+        Y = X
+        for coeff in res:
+            # 1/(z - pole)^j term: j solves against (A - pole I)
+            Y = sla.lu_solve(lu, Y)
+            if not np.all(np.isfinite(Y)):
+                raise ValueError(f"pole meets spectrum: solve at {pole} diverged")
+            out = out + coeff * Y
+    return out
+
+
+def rational_apply(r: RationalInterpolant, A, b) -> np.ndarray:
+    """r(A) b through the partial fractions of u/v and repeated solves."""
+    A = as_square_matrix(A)
+    b = as_vector(b)
+    if b.size != A.shape[0]:
+        raise ValueError("dimension mismatch between A and b")
+    pf = partial_fractions(r.numerator.power_coeffs(), r.denominator)
+    return apply_partial_fractions(pf, A, b)
+
+
+def poly_apply(p: NewtonForm, A) -> np.ndarray:
+    """A Newton-form polynomial at a matrix argument, by nested
+    multiplication over the (A - z_k I) factors."""
+    A = as_square_matrix(A)
+    n = A.shape[0]
+    w = p.nodes.nodes
+    c = p.coefficients
+    P = c[-1] * np.eye(n, dtype=np.complex128)
+    for j in range(c.size - 2, -1, -1):
+        P = (A - w[j] * np.eye(n)) @ P
+        P[np.diag_indices(n)] += c[j]
+    return P
+
+
 def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
     """The bounded matrix Omega(A)[v(A)]^-1 (vf)^(N)((1-s)mu I + s A)/N!.
 
@@ -93,27 +152,131 @@ def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
     the factorization with a dense S^-1.
     """
     A = (q.fac.S * q.fac.eigenvalues[np.newaxis, :]) @ np.linalg.inv(q.fac.S)
-    n = A.shape[0]
     pf = partial_fractions(q.omega.coeffs(), q.v)
-    K = np.zeros((n, n), dtype=np.complex128)
-    if pf.quotient.size:
-        acc = pf.quotient[-1] * np.eye(n, dtype=np.complex128)
-        for c in pf.quotient[-2::-1]:
-            acc = A @ acc
-            acc[np.diag_indices(n)] += c
-        K += acc
-    for pole, res in zip(pf.poles, pf.residues):
-        lu = sla.lu_factor(A - pole * np.eye(n))
-        X = np.eye(n, dtype=np.complex128)
-        for coeff in res:
-            X = sla.lu_solve(lu, X)
-            if not np.all(np.isfinite(X)):
-                raise ValueError(f"pole meets spectrum: solve at {pole} diverged")
-            K += coeff * X
+    K = apply_partial_fractions(pf, A, np.eye(A.shape[0], dtype=np.complex128))
     F = matfun_via_factorization(
         q.fac, lambda w: q.vf_derivative((1.0 - s) * mu + s * w)
     ) / float(factorial(q.N))
     return K @ F
+
+
+def eig_extreme_hermitian(A):
+    """Extreme eigenvalues (min, max) of a Hermitian matrix.
+
+    The input is symmetrized internally; it must be Hermitian to a tolerance
+    of 1e-10 times its largest entry.
+    """
+    A = as_square_matrix(A)
+    if A.shape[0] == 0:
+        raise ValueError("empty matrix")
+    scale = np.abs(A).max()
+    asym = np.abs(A - A.conj().T).max()
+    if asym > 1e-10 * max(scale, 1e-300):
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.2e})")
+    H = 0.5 * (A + A.conj().T)
+    w = np.linalg.eigvalsh(H)
+    return float(w[0]), float(w[-1])
+
+
+def clip_polygon_halfplane(vertices, a: complex, n: complex) -> np.ndarray:
+    """Clip a ccw convex polygon to the half-plane Re(conj(n) (z - a)) <= 0.
+
+    ``n`` is the outward normal of the boundary line through ``a``.
+    Returns the (possibly empty) clipped vertex array.
+    """
+    verts = as_vector(vertices, "vertices")
+    if verts.size == 0:
+        return verts
+
+    def side(z: complex) -> float:
+        return (np.conj(n) * (z - a)).real
+
+    out: list[complex] = []
+    m = verts.size
+    for i in range(m):
+        p, q = verts[i], verts[(i + 1) % m]
+        sp, sq = side(p), side(q)
+        if sp <= 0:
+            out.append(p)
+            if sq > 0:
+                out.append(p + (q - p) * (sp / (sp - sq)))
+        elif sq <= 0:
+            out.append(p + (q - p) * (sp / (sp - sq)))
+    if not out:
+        return np.array([], dtype=np.complex128)
+    # dedup consecutive near-identical corners from tangential cuts
+    scale = max(abs(z) for z in out) or 1.0
+    dedup: list[complex] = []
+    for z in out:
+        if not dedup or abs(z - dedup[-1]) > 1e-14 * scale:
+            dedup.append(z)
+    if len(dedup) > 1 and abs(dedup[0] - dedup[-1]) <= 1e-14 * scale:
+        dedup.pop()
+    return np.array(dedup)
+
+
+def polygon_contains(vertices, z: complex, slack: float = 0.0) -> bool:
+    """Point-in-convex-polygon test with absolute slack outward.
+
+    ``vertices`` must be in counterclockwise order; degenerate polygons
+    (segments, single points) are handled by distance.
+    """
+    verts = as_vector(vertices, "vertices")
+    m = verts.size
+    if m == 0:
+        raise ValueError("empty polygon")
+    if m == 1:
+        return abs(z - verts[0]) <= slack
+    if m == 2:
+        return _point_segment_distance(z, verts[0], verts[1]) <= slack
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        edge = b - a
+        # signed distance of z from the edge line, positive inside (ccw order)
+        if (edge.conjugate() * (z - a)).imag / abs(edge) < -slack:
+            return False
+    return True
+
+
+def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(z - a)
+    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * d))
+
+
+def numerical_range_box(A, angles=(0.0, -pi / 2)) -> np.ndarray:
+    """Convex polygon containing the numerical range of A.
+
+    Intersection over the given angles phi of the strips
+
+        q_min <= Re(e^(-i phi) lambda) <= q_max
+
+    where q_min/q_max are the extreme eigenvalues of the Hermitian part of
+    e^(-i phi) A.  Each strip is widened by a ~1e-12 safety pad so the
+    intersection cannot collapse to the empty set through rounding.
+    """
+    A = as_square_matrix(A)
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    if angles.size == 0:
+        raise ValueError("need at least one angle")
+    scale = float(np.linalg.norm(A)) if A.size else 0.0
+    pad = 1e-12 * max(1.0, scale)
+    R = 2.0 * scale + 1.0
+    poly = np.array([R * (-1 - 1j), R * (1 - 1j), R * (1 + 1j), R * (-1 + 1j)])
+    for phi in angles:
+        rot = np.exp(-1j * phi)
+        H = 0.5 * (rot * A + (rot * A).conj().T)
+        qmin, qmax = eig_extreme_hermitian(H)
+        n = np.exp(1j * phi)
+        poly = clip_polygon_halfplane(poly, (qmax + pad) * n, n)
+        poly = clip_polygon_halfplane(poly, (qmin - pad) * n, -n)
+        if poly.size == 0:
+            raise RuntimeError("strip intersection emptied; numerical failure")
+    return convex_hull(poly)
 
 
 def dense_krylov_vectors(A, x, kappa0, pole_mults, dual):

@@ -17,13 +17,14 @@ import pytest
 from oracles import (
     contour_divdiff_oracle,
     genocchi_hermite_oracle,
+    numerical_range_box,
+    poly_apply,
+    polygon_contains,
     random_diagonalizable,
     random_gaussian_matrix,
     taylor_expm,
 )
-from ratmat.bounds import numerical_range_box
 from ratmat.experiment import ExperimentConfig, run_experiment
-from ratmat.geometry import polygon_contains
 from ratmat.interp import (
     NodeList,
     divided_differences,
@@ -33,7 +34,6 @@ from ratmat.interp import (
 )
 from ratmat.jets import ExpJet, FactoredPoly
 from ratmat.linalg import mgs_orthonormalize
-from ratmat.matfun import poly_apply
 from ratmat.rom import (
     FinitePole,
     PoleSpec,

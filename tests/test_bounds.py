@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bound_core_matrix, random_diagonalizable, taylor_expm
-from ratmat.bounds import (
-    BoundQuery,
-    bound_bilinear,
-    bound_vector,
+from oracles import (
+    bound_core_matrix,
     numerical_range_box,
+    polygon_contains,
+    random_diagonalizable,
+    rational_apply,
+    taylor_expm,
 )
+from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
-from ratmat.geometry import polygon_contains
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, FunctionJet
+from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, ProductJet
 from ratmat.linalg import EigenFactorization
-from ratmat.matfun import rational_apply
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
 
@@ -203,8 +203,6 @@ def test_bound_query_validation():
         BoundQuery(A, NodeList([0.0]), FactoredPoly([1.0], [1], 1.0))
     with pytest.raises(ValueError, match="interpolation node"):
         BoundQuery(A, NodeList([0.0]), FactoredPoly([0.0], [1], 1.0))
-    with pytest.raises(ValueError, match="s grid"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_grid=[0.0, 0.5])
     with pytest.raises(ValueError):
         BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_samples=1)
     bad = EigenFactorization(np.diag([1.0, 1e-13]), [1.0, 2.0])
@@ -226,7 +224,8 @@ def test_bound_vector_exp_route_matches_generic_jet():
 
     A system as the experiment draws it: n = 48 with its spectrum in the
     default rectangle, the eight fitted poles, and the reduced spectrum as
-    nodes.  Passing e^z as a FunctionJet forces the generic ProductJet route.
+    nodes.  The generic route is the Leibniz rule on v and e^z given as a
+    FunctionJet, evaluated on the query's own grid points.
     """
     rng = np.random.default_rng(331)
     config = ExperimentConfig(n=48, trials=1)
@@ -245,22 +244,22 @@ def test_bound_vector_exp_route_matches_generic_jet():
     model = reduce(A, b, V, spec=spec)
     v = spec.denominator("one")
     N = len(model.reduced_nodes)
-    exp_jet = FunctionJet([np.exp] * (N + 1))
+    generic_jet = ProductJet(v, FunctionJet([np.exp] * (N + 1)))
 
-    fast = bound_vector(BoundQuery(fac, model.reduced_nodes, v), b)
-    generic = bound_vector(BoundQuery(fac, model.reduced_nodes, v, f=exp_jet), b)
+    q = BoundQuery(fac, model.reduced_nodes, v)
+    s = np.repeat(q.s_grid, q.mu_points.size)
+    mu = np.tile(q.mu_points, q.s_grid.size)
+    P = ((1.0 - s) * mu)[:, np.newaxis] + s[:, np.newaxis] * nu[np.newaxis, :]
+    want = generic_jet.eval(P, N)[N]
+    assert np.abs(q.vf_derivative(P) - want).max() <= 1e-9 * np.abs(want).max()
+
+    fast = bound_vector(q, b)
+    slow = BoundQuery(fac, model.reduced_nodes, v)
+    slow.vf_derivative = lambda points: generic_jet.eval(points, N)[N]
+    generic = bound_vector(slow, b)
     assert len(poles) == 8 and N == 9
     assert abs(fast.value - generic.value) <= 1e-9 * generic.value
     assert (fast.argmax_s, fast.argmax_mu) == (generic.argmax_s, generic.argmax_mu)
-
-
-def test_bound_query_custom_grids():
-    A = np.diag([0.5, -0.5])
-    q = BoundQuery(A, NodeList([0.0, 0.2]), FactoredPoly((), (), 1.0),
-                   s_grid=[0.0, 0.25, 1.0], mu_points=[0.1])
-    res = bound_vector(q, [1.0, 1.0])
-    assert res.n_s == 3 and res.n_mu == 1
-    assert res.argmax_mu == 0.1
 
 
 def test_bound_result_json_schema():

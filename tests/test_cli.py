@@ -255,6 +255,48 @@ def test_cli_error_paths(tmp_path, capsys):
         main([])
 
 
+_RECT = {"re_min": -1.0, "re_max": 0.0, "im_min": -1.0, "im_max": 1.0}
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"rectangle": {"re_min": -1}}, "'re_max'"),
+    ({"rectangle": {**_RECT, "re_mid": 0.0}}, "'re_mid'"),
+    ({"rectangle": {**_RECT, "im_max": "pi"}}, "rectangle.im_max"),
+    ({"rectangle": [0, 1]}, "rectangle"),
+    ({"n": None}, "n must be"),
+    ({"n": 32.5}, "n must be"),
+    ({"trials": True}, "trials must be"),
+    ({"t": "1"}, "t must be"),
+    ({"fit_degree": [9]}, "fit_degree"),
+    ({"fit_degree": 9}, "fit_degree"),
+    ({"fit_degree": [9, "8"]}, "fit_degree"),
+    ({"outdir": 5}, "outdir"),
+    ({"trails": 3, "n": 32}, "'trails'"),
+    ([16], "JSON object"),
+])
+@pytest.mark.parametrize("command", ["run", "poles"])
+def test_config_errors_exit_cleanly(tmp_path, capsys, command, config, named):
+    cfg = _dump(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err
+
+
+@pytest.mark.parametrize("data, named", [
+    ([1], "A: entry 0 "),
+    ([["a", "b"]], "A: entry 0 "),
+    ([[1.0, 0.0, 2.0]], "A: entry 0 "),
+    ({"re": 1.0}, "A: data must be a list"),
+])
+def test_bound_malformed_matrix_json(tmp_path, capsys, data, named):
+    A = _dump(tmp_path, "A.json", {"rows": 1, "cols": 1, "data": data})
+    b = _dump(tmp_path, "b.json", vector_to_json([1.0]))
+    spec = _dump(tmp_path, "spec.json", {"kappa0": 1})
+    assert main(["bound", "--A", A, "--b", b, "--poles", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_run_command_small(tmp_path, capsys):
     cfg = _dump(tmp_path, "cfg.json", {
         "n": 16, "trials": 2, "seed": 9, "outdir": str(tmp_path / "out"),

@@ -42,6 +42,9 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json({}).to_json() == ExperimentConfig().to_json()
     partial = ExperimentConfig.from_json({"n": 64, "fit_degree": [9, 8]})
     assert partial.n == 64 and partial.fit_degree == (9, 8)
+    # an integral float is an integer; 32.5 is refused (test_cli)
+    assert ExperimentConfig.from_json({"n": 64.0, "t": 2}).to_json() == \
+        ExperimentConfig(n=64, t=2.0).to_json()
 
 
 def test_boundary_fit_nodes_default_rectangle():

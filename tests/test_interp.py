@@ -34,6 +34,21 @@ def test_node_list_canonicalization():
         NodeList([])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+def test_node_list_merges_one_ulp_pair_at_any_scale(scale):
+    """A pair one ulp apart is one confluent node, so the divided
+    difference is the derivative, not a cancelled difference quotient."""
+    z = scale * (0.3 + 0.4j)
+    pair = [z, z * (1 + 3e-16)]
+    assert pair[0] != pair[1]
+    nl = NodeList(pair)
+    assert np.array_equal(nl.mults, [2])
+    f = ExpJet(1.0 / scale)
+    dd = divided_differences(f, nl)[-1]
+    exact = f.t * np.exp(f.t * z)
+    assert abs(dd - exact) <= 1e-14 * abs(exact)
+
+
 # offsets in units of the confluence tolerance: some snap to their site,
 # some land just outside it and start a new representative
 _NEAR = [0.0, 0.5, 0.9, 1.5, 2.5]
@@ -43,9 +58,12 @@ _NEAR = [0.0, 0.5, 0.9, 1.5, 2.5]
     st.tuples(st.sampled_from([0.0, 1.0, -2.0 + 1.0j]),
               st.sampled_from(_NEAR), st.sampled_from(_NEAR)),
     min_size=1, max_size=12,
-))
-def test_node_list_canonicalization_idempotent(points):
-    raw = [site + CONFLUENCE_TOL * complex(re, im) for site, re, im in points]
+), st.sampled_from([1.0, 1e8]))
+def test_node_list_canonicalization_idempotent(points, scale):
+    """At scale 1e8 the tolerance is relative; merging the node of largest
+    modulus can shrink it, and the reps must still stay apart."""
+    raw = [scale * (site + CONFLUENCE_TOL * complex(re, im))
+           for site, re, im in points]
     once = NodeList(raw)
     twice = NodeList(once.nodes)
     assert np.array_equal(twice.reps, once.reps)
@@ -284,7 +302,8 @@ def test_fit_recovers_simple_rational():
     assert fit.residuals.max() <= 1e-12
     assert np.abs(fit.poles - (-1.0)).max() <= 1e-10
     z = np.array([0.3, 2.5, -0.4])
-    assert np.allclose(fit.interpolant(z), f(z), atol=1e-10)
+    r = npp.polyval(z, fit.u_coeffs) / npp.polyval(z, fit.v_coeffs)
+    assert np.allclose(r, f(z), atol=1e-10)
 
 
 def test_fit_degenerate_constant():

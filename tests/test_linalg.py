@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import eig_extreme_hermitian
 from ratmat import linalg
 from ratmat.linalg import (
     EigenFactorization,
@@ -12,7 +13,6 @@ from ratmat.linalg import (
     as_vector,
     blas_thread_counts,
     blas_threads,
-    eig_extreme_hermitian,
     eig_small,
     factorize,
     matrix_from_json,

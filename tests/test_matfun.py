@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from oracles import (
     central_difference,
     matfun_via_factorization,
+    poly_apply,
     random_diagonalizable,
+    rational_apply,
     taylor_expm,
 )
 from ratmat.interp import (
@@ -16,13 +18,8 @@ from ratmat.interp import (
     hermite_interpolate,
     rational_interpolate_fixed_denominator,
 )
-from ratmat.jets import ExpJet, FactoredPoly, ProductJet
+from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative
 from ratmat.linalg import EigenFactorization, eig_small
-from ratmat.matfun import (
-    VExpDerivative,
-    poly_apply,
-    rational_apply,
-)
 
 
 def test_matfun_zero_matrix():
