@@ -50,9 +50,11 @@ class BoundQuery:
 
     ``A`` is a matrix or an EigenFactorization (see linalg.factorize), whose
     LU applies S^-1 to b.  ``v`` is the fixed denominator and f = exp_t, so
-    ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) at an array of
-    points.  The evaluation always runs through the factorization; the
-    denominator is checked against the spectrum.
+    ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) = e^(t.) w; the
+    grid is evaluated in factored form from its Taylor coefficients (see
+    ``_tables``), with no jet call per point.  The evaluation always runs
+    through the factorization; the denominator is checked against the
+    spectrum.
     """
 
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
@@ -80,55 +82,84 @@ class BoundQuery:
         self.hull = convex_hull(nodes.nodes)
         self.mu_points = hull_boundary_samples(self.hull, max(mu_samples, self.hull.size))
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
-        self._grid_cache = None
+        self._tables_cache = None
 
     # -- grid machinery ----------------------------------------------------
 
-    def _grid(self):
-        """Flattened (s, mu) grid and the per-eigenvalue factor table H.
+    def _tables(self):
+        """The (s, mu) grid in factored form: the mu-side C and nu-side X.
 
-        H[g, i] = Omega(nu_i)/v(nu_i) * (vf)^(N)((1-s_g) mu_g + s_g nu_i) / N!
-        so that the core matrix at grid point g is S diag(H[g]) S^-1.
+        With a = (1-s_j) mu_m, x = s_j nu_i and T_k(a) the Taylor
+        coefficients of w at a (see VExpDerivative),
+
+            (vf)^(N)(a + x) = e^(t(a+x)) w(a+x) = sum_k C[j, m, k] X[j, k, i],
+            C[j, m, k] = e^(t a + sigma_j) T_k(a),
+            X[j, k, i] = e^(t x - sigma_j) x^k,
+
+        where sigma_j = max_i Re(t s_j nu_i) keeps every exponential in X at
+        most 1.  The core matrix at (s_j, mu_m) is then
+        S diag(weights/N! * sum_k C[j, m, k] X[j, k]) S^-1.
         """
-        if self._grid_cache is None:
-            ev = self.fac.eigenvalues
-            s = np.repeat(self.s_grid, self.mu_points.size)
-            mu = np.tile(self.mu_points, self.s_grid.size)
-            P = ((1.0 - s) * mu)[:, np.newaxis] + s[:, np.newaxis] * ev[np.newaxis, :]
-            H = self.vf_derivative(P)
-            H *= self.weights[np.newaxis, :] / float(factorial(self.N))
-            if not np.all(np.isfinite(H)):
+        if self._tables_cache is None:
+            t = self.vf_derivative.t
+            x = self.s_grid[:, np.newaxis] * self.fac.eigenvalues[np.newaxis, :]
+            sigma = (t * x.real).max(axis=1, keepdims=True)
+            a = (1.0 - self.s_grid)[:, np.newaxis] * self.mu_points[np.newaxis, :]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                C = np.exp(t * a + sigma)[..., np.newaxis] * self.vf_derivative.taylor(a)
+                X = np.empty((x.shape[0], C.shape[2], x.shape[1]), dtype=np.complex128)
+                X[:, 0] = np.exp(t * x - sigma)
+                for k in range(1, X.shape[1]):
+                    X[:, k] = X[:, k - 1] * x
+            if not (np.all(np.isfinite(C)) and np.all(np.isfinite(X))):
                 raise ValueError("bound evaluation overflowed; check poles vs spectrum")
-            self._grid_cache = (s, mu, H)
-        return self._grid_cache
+            self._tables_cache = (C, X)
+        return self._tables_cache
+
+    def _fold(self, y: np.ndarray) -> np.ndarray:
+        """y scaled by the per-eigenvalue weights Omega(nu)/v(nu)/N!."""
+        return y * (self.weights / float(factorial(self.N)))
 
     def _result(self, values: np.ndarray) -> BoundResult:
-        g = int(np.argmax(values))
-        s, mu, _ = self._grid()
+        """Grid maximum of values[j, m] at (s_j, mu_m); ties go to the
+        first point in s-major, mu-minor order."""
+        if not np.all(np.isfinite(values)):
+            raise ValueError("bound evaluation overflowed; check poles vs spectrum")
+        j, m = divmod(int(np.argmax(values)), self.mu_points.size)
         return BoundResult(
-            value=float(values[g]),
-            argmax_s=float(s[g]),
-            argmax_mu=complex(mu[g]),
+            value=float(values[j, m]),
+            argmax_s=float(self.s_grid[j]),
+            argmax_mu=complex(self.mu_points[m]),
             n_s=self.s_grid.size,
             n_mu=self.mu_points.size,
         )
 
 
 def bound_vector(q: BoundQuery, b) -> BoundResult:
-    """max over the grid of || core(s, mu) b ||_2 (this is e1)."""
+    """max over the grid of || core(s, mu) b ||_2 (this is e1).
+
+    One product with S covers the whole grid: its n_s (deg v + 1) columns
+    are the folded X; each s then combines them with its C.
+    """
     b = as_vector(b)
-    _, _, H = q._grid()
-    c = q.fac.solve(b)
-    R = q.fac.S @ (H * c[np.newaxis, :]).T
-    return q._result(np.linalg.norm(R, axis=0))
+    C, X = q._tables()
+    Xc = X * q._fold(q.fac.solve(b))
+    n_s, n_k, n = X.shape
+    Y = (q.fac.S @ Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
+    R = Y.transpose(1, 0, 2) @ C.transpose(0, 2, 1)
+    # 2-norms over the eigenvalue axis; np.linalg.norm's complex temporaries
+    # cost more than the GEMM at n = 128
+    with np.errstate(over="ignore"):  # an overflowed norm is refused below
+        sq = (np.einsum("jim,jim->jm", R.real, R.real)
+              + np.einsum("jim,jim->jm", R.imag, R.imag))
+        return q._result(np.sqrt(sq))
 
 
 def bound_bilinear(q: BoundQuery, b, d) -> BoundResult:
     """max over the grid of | d^H core(s, mu) b |."""
     b = as_vector(b)
     d = as_vector(d)
-    _, _, H = q._grid()
-    c = q.fac.solve(b)
+    C, X = q._tables()
     u = d.conj() @ q.fac.S
-    return q._result(np.abs(H @ (u * c)))
-
+    y = X @ q._fold(u * q.fac.solve(b))
+    return q._result(np.abs(C @ y[..., np.newaxis])[..., 0])

@@ -23,7 +23,12 @@ import numpy as np
 
 from .geometry import convex_hull, hull_boundary_samples
 from .interp import linearized_rational_fit
-from .linalg import EigenFactorization, blas_thread_counts, blas_threads
+from .linalg import (
+    EigenFactorization,
+    blas_thread_counts,
+    blas_threads,
+    integer_from_json,
+)
 from .rom import (
     FinitePole,
     PoleSpec,
@@ -44,14 +49,6 @@ PIN_BELOW_N = 640
 
 _INT_KEYS = ("n", "trials", "boundary_nodes", "mu_samples", "s_samples", "seed")
 _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config: {key} must be an integer, got {value!r}")
-    return value
 
 
 def _real(key: str, value) -> float:
@@ -125,7 +122,7 @@ class ExperimentConfig:
             if key not in known:
                 raise ValueError(f"config: unknown key {key!r}")
             if key in _INT_KEYS:
-                kw[key] = _integer(key, value)
+                kw[key] = integer_from_json(f"config: {key}", value)
             elif key == "t":
                 kw[key] = _real(key, value)
             elif key == "rectangle":
@@ -134,7 +131,7 @@ class ExperimentConfig:
                 if not isinstance(value, list) or len(value) != 2:
                     raise ValueError(f"config: fit_degree must be a pair [L, M], "
                                      f"got {value!r}")
-                kw[key] = tuple(_integer("fit_degree", x) for x in value)
+                kw[key] = tuple(integer_from_json("config: fit_degree", x) for x in value)
             elif not isinstance(value, str):  # outdir, the one string key
                 raise ValueError(f"config: outdir must be a string, got {value!r}")
             else:

@@ -216,7 +216,8 @@ class VExpDerivative:
     (v exp_t)^(N)(z) = e^(t z) w(z) with the single polynomial
     w = sum_{j<=min(N, deg v)} C(N,j) t^(N-j) v^(j) of degree deg v.  The
     coefficients of w are precomputed here; a call is one Horner pass over z
-    times e^(t z).  Vectorized over z.
+    times e^(t z), and ``taylor`` gives the coefficients of w shifted to a
+    point, which the bound grid uses in place of calls.  Vectorized over z.
     """
 
     def __init__(self, v: FactoredPoly, t: float, N: int):
@@ -239,3 +240,17 @@ class VExpDerivative:
             acc *= z
             acc += c
         return acc * np.exp(self.t * z)
+
+    def taylor(self, a):
+        """Taylor coefficients of w at a: T[..., k] with w(a + x) = sum T_k x^k.
+
+        Repeated synthetic division by (x - a), O(deg^2) per point; the
+        result has shape shape(a) + (deg w + 1,).
+        """
+        a = np.asarray(a, dtype=np.complex128)
+        T = np.empty(a.shape + self.w.shape, dtype=np.complex128)
+        T[...] = self.w
+        for i in range(self.w.size - 1):
+            for j in range(self.w.size - 2, i - 1, -1):
+                T[..., j] += a * T[..., j + 1]
+        return T

@@ -86,6 +86,16 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     return as_matrix(np.array(values, dtype=np.complex128).reshape(rows, cols), name)
 
 
+def integer_from_json(name: str, value) -> int:
+    """A decoded JSON integer; an integral float such as 64.0 is accepted,
+    a bool, a string or a fraction raises ValueError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def vector_to_json(v) -> dict:
     v = as_vector(v)
     return matrix_to_json(v.reshape(-1, 1))

@@ -28,6 +28,7 @@ from .linalg import (
     as_vector,
     eig_small,
     factorize,
+    integer_from_json,
     mgs_orthonormalize,
 )
 
@@ -110,20 +111,50 @@ class PoleSpec:
 
     @classmethod
     def from_json(cls, obj) -> "PoleSpec":
-        try:
-            kappa0 = int(obj["kappa0"])
-            raw = obj.get("poles", [])
-            poles = tuple(
-                FinitePole(
-                    complex(p["lambda"][0], p["lambda"][1]),
-                    int(p.get("kappa", 1)),
-                    int(p.get("chi", 0)),
-                )
-                for p in raw
-            )
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError("malformed pole specification") from exc
-        return cls(kappa0, poles, int(obj.get("chi0", 0)))
+        """Spec from a decoded JSON object; a pole's kappa defaults to 1,
+        its chi and chi0 to 0.
+
+        A missing kappa0 or lambda, an unknown key, a multiplicity that is
+        not an integer or a lambda that is not a [re, im] pair of numbers
+        raises ValueError naming the key.
+        """
+        _spec_keys(obj, "spec", ("kappa0", "poles", "chi0"), "kappa0")
+        raw = obj.get("poles", [])
+        if not isinstance(raw, list):
+            raise _malformed(f"poles must be a list, got {raw!r}")
+        poles = []
+        for i, p in enumerate(raw):
+            where = f"poles[{i}]"
+            _spec_keys(p, where, ("lambda", "kappa", "chi"), "lambda")
+            try:
+                re, im = p["lambda"]
+                lam = complex(re, im)
+            except (TypeError, ValueError) as exc:
+                raise _malformed(f"{where}.lambda is not a [re, im] pair of "
+                                 f"numbers: {p['lambda']!r}") from exc
+            poles.append(FinitePole(lam,
+                                    _spec_integer(f"{where}.kappa", p.get("kappa", 1)),
+                                    _spec_integer(f"{where}.chi", p.get("chi", 0))))
+        return cls(_spec_integer("kappa0", obj["kappa0"]), tuple(poles),
+                   _spec_integer("chi0", obj.get("chi0", 0)))
+
+
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed pole specification: {what}")
+
+
+def _spec_keys(obj, where: str, known: tuple, required: str) -> None:
+    if not isinstance(obj, dict):
+        raise _malformed(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in known:
+            raise _malformed(f"unknown {where} key {key!r}")
+    if required not in obj:
+        raise _malformed(f"{where} is missing {required!r}")
+
+
+def _spec_integer(key: str, value) -> int:
+    return integer_from_json(f"malformed pole specification: {key}", value)
 
 
 def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's own evaluation paths:
 matrix exponentials come from a scaled-and-squared Taylor sum, derivatives
 from difference stencils, p(A) and r(A) b from the matrix A itself by
-products and shifted LU solves.  Agreement between library and oracle is
-then a two-route check instead of a tautology.  The numerical-range box and
-its polygon helpers live here too: only the tests use them, to check where
-the reduced spectrum lies.
+products and shifted LU solves, and the bound's (s, mu) grid from the jet
+at every point instead of the library's factored tables.  Agreement between
+library and oracle is then a two-route check instead of a tautology.  The
+numerical-range box and its polygon helpers live here too: only the tests
+use them, to check where the reduced spectrum lies.
 """
 
 from math import factorial, pi
@@ -14,7 +15,7 @@ from math import factorial, pi
 import numpy as np
 import scipy.linalg as sla
 
-from ratmat.bounds import BoundQuery
+from ratmat.bounds import BoundQuery, BoundResult
 from ratmat.geometry import convex_hull
 from ratmat.interp import (
     NewtonForm,
@@ -158,6 +159,34 @@ def bound_core_matrix(q: BoundQuery, s: float, mu: complex) -> np.ndarray:
         q.fac, lambda w: q.vf_derivative((1.0 - s) * mu + s * w)
     ) / float(factorial(q.N))
     return K @ F
+
+
+def bound_grid_pointwise(q: BoundQuery, b, d=None) -> BoundResult:
+    """e1 (or, with d, the bilinear bound) by the jet at every grid point.
+
+    The table H[g, i] = Omega(nu_i)/v(nu_i) (vf)^(N)((1-s_g) mu_g + s_g nu_i)/N!
+    over the flattened s-major, mu-minor grid is formed in full from
+    ``q.vf_derivative``; the vector bound multiplies S by its len(grid)
+    columns, the bilinear one contracts it with u * c.
+    """
+    ev = q.fac.eigenvalues
+    s = np.repeat(q.s_grid, q.mu_points.size)
+    mu = np.tile(q.mu_points, q.s_grid.size)
+    P = ((1.0 - s) * mu)[:, np.newaxis] + s[:, np.newaxis] * ev[np.newaxis, :]
+    H = q.vf_derivative(P)
+    H *= q.weights[np.newaxis, :] / float(factorial(q.N))
+    if not np.all(np.isfinite(H)):
+        raise ValueError("bound evaluation overflowed; check poles vs spectrum")
+    c = q.fac.solve(as_vector(b))
+    if d is None:
+        values = np.linalg.norm(q.fac.S @ (H * c[np.newaxis, :]).T, axis=0)
+    else:
+        u = as_vector(d).conj() @ q.fac.S
+        values = np.abs(H @ (u * c))
+    g = int(np.argmax(values))
+    return BoundResult(value=float(values[g]), argmax_s=float(s[g]),
+                       argmax_mu=complex(mu[g]), n_s=q.s_grid.size,
+                       n_mu=q.mu_points.size)
 
 
 def eig_extreme_hermitian(A):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     bound_core_matrix,
+    bound_grid_pointwise,
     numerical_range_box,
     polygon_contains,
     random_diagonalizable,
@@ -14,7 +15,7 @@ from oracles import (
 from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, ProductJet
+from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, ProductJet, VExpDerivative
 from ratmat.linalg import EigenFactorization
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
@@ -220,12 +221,13 @@ def test_bound_query_pole_near_spectrum_is_relative():
 
 
 def test_bound_vector_exp_route_matches_generic_jet():
-    """e1 through the precomputed exp jet equals e1 through the Leibniz rule.
+    """e1 through the factored exp jet equals e1 through the Leibniz rule.
 
     A system as the experiment draws it: n = 48 with its spectrum in the
     default rectangle, the eight fitted poles, and the reduced spectrum as
     nodes.  The generic route is the Leibniz rule on v and e^z given as a
-    FunctionJet, evaluated on the query's own grid points.
+    FunctionJet, evaluated pointwise on the query's own grid points by the
+    oracle.
     """
     rng = np.random.default_rng(331)
     config = ExperimentConfig(n=48, trials=1)
@@ -256,10 +258,123 @@ def test_bound_vector_exp_route_matches_generic_jet():
     fast = bound_vector(q, b)
     slow = BoundQuery(fac, model.reduced_nodes, v)
     slow.vf_derivative = lambda points: generic_jet.eval(points, N)[N]
-    generic = bound_vector(slow, b)
+    generic = bound_grid_pointwise(slow, b)
     assert len(poles) == 8 and N == 9
     assert abs(fast.value - generic.value) <= 1e-9 * generic.value
     assert (fast.argmax_s, fast.argmax_mu) == (generic.argmax_s, generic.argmax_mu)
+
+
+def _reduced_system(rng, n, spec, side="one", re_min=-1.0):
+    """Spectrum in [re_min, 0] x [-pi, pi], b and d, and the reduced
+    spectrum of the (one- or two-sided) reduction as nodes."""
+    nu = rng.uniform(re_min, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    fac = EigenFactorization(S, nu)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dual = d if side == "two" else None
+    V, _ = build_krylov_basis(fac, b, spec, side=side, d=dual)
+    model = reduce(fac, b, V, d=dual, spec=spec, side=side)
+    return fac, b, d, model.reduced_nodes, spec.denominator(side)
+
+
+def _factored_case(name):
+    rng = np.random.default_rng(353)
+    xp_spec = PoleSpec(1, tuple(FinitePole(complex(p))
+                                for p in derive_poles(ExperimentConfig(n=128, trials=1))))
+    if name == "xp-run-n128":
+        return (*_reduced_system(rng, 128, xp_spec), 1.0)
+    if name == "two-sided-double-pole":
+        spec = PoleSpec(1, (FinitePole(-2.0 + 1.0j, 1, 1), FinitePole(-3.0 - 2.0j, 1, 0)),
+                        chi0=1)
+        assert spec.denominator("two").mults.tolist() == [2, 1]
+        return (*_reduced_system(rng, 40, spec, side="two"), 1.0)
+    if name == "constant-v":
+        fac, b, d, nodes, _ = _reduced_system(rng, 32, PoleSpec(4))
+        return fac, b, d, nodes, FactoredPoly((), (), 2.5 - 0.5j), 1.0
+    # spectrum reaching Re = -400 at t = 2: the shift sigma_s does the work
+    return (*_reduced_system(rng, 96, xp_spec, re_min=-400.0), 2.0)
+
+
+@pytest.mark.parametrize("grid", [(2, 1), (11, 50), (17, 73)])
+@pytest.mark.parametrize("case", ["xp-run-n128", "two-sided-double-pole",
+                                  "constant-v", "wide-spectrum-t2"])
+def test_factored_grid_matches_pointwise_oracle(case, grid):
+    """The factored tables give the pointwise grid's value and argmax."""
+    fac, b, d, nodes, v, t = _factored_case(case)
+    q = BoundQuery(fac, nodes, v, t=t, s_samples=grid[0], mu_samples=grid[1])
+    if case == "xp-run-n128":
+        assert len(nodes) == 9 and v.degree == 8
+    for got, want in ((bound_vector(q, b), bound_grid_pointwise(q, b)),
+                      (bound_bilinear(q, b, d), bound_grid_pointwise(q, b, d))):
+        assert want.value > 0.0
+        assert abs(got.value - want.value) <= 1e-12 * want.value
+        assert (got.argmax_s, got.argmax_mu) == (want.argmax_s, want.argmax_mu)
+        assert (got.n_s, got.n_mu) == (want.n_s, want.n_mu)
+
+
+@pytest.mark.parametrize("case", ["xp-run-n128", "two-sided-double-pole",
+                                  "constant-v", "wide-spectrum-t2"])
+def test_factored_tables_match_pointwise_jet(case):
+    """sum_k C[j, m, k] X[j, k, i] is the jet at (1-s_j) mu_m + s_j nu_i,
+    at every grid point and not just at the argmax, to 1e-13 of each s
+    row's largest entry."""
+    fac, _, _, nodes, v, t = _factored_case(case)
+    q = BoundQuery(fac, nodes, v, t=t)
+    C, X = q._tables()
+    a = (1.0 - q.s_grid)[:, np.newaxis] * q.mu_points[np.newaxis, :]
+    x = q.s_grid[:, np.newaxis] * fac.eigenvalues[np.newaxis, :]
+    H = q.vf_derivative(a[:, :, np.newaxis] + x[:, np.newaxis, :])
+    err = np.abs(C @ X - H).max(axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.abs(H).max(axis=(1, 2)))
+
+
+def test_bound_grid_is_factored(monkeypatch):
+    """No jet call per grid point, and one product with S of n_s (deg v + 1)
+    columns for the whole grid."""
+    fac, b, d, nodes, v, _ = _factored_case("xp-run-n128")
+
+    def pointwise(self, z):
+        raise AssertionError("the grid evaluated the jet pointwise")
+
+    monkeypatch.setattr(VExpDerivative, "__call__", pointwise)
+    q = BoundQuery(fac, nodes, v)
+    widths = []
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            if np.ndim(other) == 2:
+                widths.append(np.shape(other)[1])
+            return np.asarray(self) @ other
+
+    q.fac.S = q.fac.S.view(Recording)
+    bound_vector(q, b)
+    bound_bilinear(q, b, d)
+    assert widths == [11 * (v.degree + 1)]
+    C, X = q._tables()
+    assert C.shape == (11, q.mu_points.size, v.degree + 1)
+    assert X.shape == (11, v.degree + 1, fac.order)
+    assert np.abs(X[:, 0]).max(axis=1) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bound_overflow_is_refused():
+    """|H| reaches 4e271: squaring it in the norm overflowed to e1 = inf."""
+    rng = np.random.default_rng(0)
+    n = 48
+    nu = rng.uniform(-300.0, 0.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fac = EigenFactorization(S, nu)
+    v = FactoredPoly([350.0 + 1.0j, 350.0 - 1.0j], [1, 1], 1.0)
+    q = BoundQuery(fac, NodeList(300.0 + 1j * np.linspace(-2, 2, 5)), v, t=2.0)
+    with pytest.raises(ValueError, match="bound evaluation overflowed"):
+        bound_vector(q, b)
+    assert np.isfinite(bound_bilinear(q, b, b).value)
+    # a grid whose mu-side exponential itself overflows fails on both routes
+    far = BoundQuery(fac, NodeList(400.0 + 1j * np.linspace(-2, 2, 5)), v, t=2.0)
+    for route, args in ((bound_vector, (b,)), (bound_bilinear, (b, b))):
+        with pytest.raises(ValueError, match="bound evaluation overflowed"):
+            route(far, *args)
 
 
 def test_bound_result_json_schema():

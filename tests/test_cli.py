@@ -297,6 +297,29 @@ def test_bound_malformed_matrix_json(tmp_path, capsys, data, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"kappa0": 1, "chi0": None}, "chi0 must be an integer, got None"),
+    ({"kappa0": 1, "chi_0": 1}, "unknown spec key 'chi_0'"),
+    ({"kappa0": 1.5}, "kappa0 must be an integer"),
+    ({"chi0": 1}, "spec is missing 'kappa0'"),
+    ([1], "spec must be an object"),
+    ({"kappa0": 1, "poles": {"lambda": [3.0, 0.0]}}, "poles must be a list"),
+    ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kapa": 2}]},
+     "unknown poles[0] key 'kapa'"),
+    ({"kappa0": 1, "poles": [{"kappa": 2}]}, "poles[0] is missing 'lambda'"),
+    ({"kappa0": 1, "poles": [{"lambda": [3.0, "0"]}]}, "poles[0].lambda is not"),
+    ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0, 1.0]}]}, "poles[0].lambda is not"),
+    ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": "1"}]},
+     "poles[0].chi must be an integer"),
+])
+def test_bound_malformed_pole_spec(tmp_path, capsys, spec, named):
+    A = np.diag([-1.0, -2.0, -3.0])
+    args = _bound_args(tmp_path, A, np.ones(3), spec, d=np.ones(3))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed pole specification: ") and named in err
+
+
 def test_run_command_small(tmp_path, capsys):
     cfg = _dump(tmp_path, "cfg.json", {
         "n": 16, "trials": 2, "seed": 9, "outdir": str(tmp_path / "out"),

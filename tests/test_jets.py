@@ -1,5 +1,8 @@
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import central_difference
 from ratmat.jets import (
@@ -8,6 +11,7 @@ from ratmat.jets import (
     FunctionJet,
     PolyJet,
     ProductJet,
+    VExpDerivative,
     jet_divide,
     jet_product,
 )
@@ -98,3 +102,29 @@ def test_function_jet_order_limit():
     assert np.allclose(f.eval(0.0, 1), [1.0, 1.0])
     with pytest.raises(ValueError, match="unavailable"):
         f.eval(0.0, 2)
+
+
+_DISK = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                  st.floats(0.0, 4.0), st.floats(0.0, 2.0 * np.pi))
+
+
+@given(w=st.lists(st.builds(complex, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                  min_size=1, max_size=9),
+       a=_DISK, x=_DISK)
+def test_taylor_shift_reproduces_w(w, a, x):
+    """sum_k T_k(a) x^k = w(a + x) for w of degree 0-8 and |a|, |x| <= 4."""
+    jet = VExpDerivative(FactoredPoly((), (), 1.0), 1.0, 0)
+    jet.w = np.array(w, dtype=np.complex128)
+    T = jet.taylor(np.array([a, 0.0]))
+    assert T.shape == (2, len(w))
+    assert np.array_equal(T[1], jet.w)  # the shift by 0 is exact
+    got = np.sum(T[0] * x ** np.arange(len(w)))
+    scale = np.sum(np.abs(jet.w) * (abs(a) + abs(x)) ** np.arange(len(w)))
+    assert abs(got - npp.polyval(a + x, jet.w)) <= 1e-12 * scale
+
+
+def test_taylor_shift_example():
+    """w = 1 + 2z + 3z^2 at a = 1: w(1 + x) = 6 + 8x + 3x^2."""
+    jet = VExpDerivative(FactoredPoly((), (), 1.0), 1.0, 0)
+    jet.w = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    assert np.array_equal(jet.taylor(1.0), [6.0, 8.0, 3.0])
