@@ -139,13 +139,15 @@ def bound_vector(q: BoundQuery, b) -> BoundResult:
     """max over the grid of || core(s, mu) b ||_2 (this is e1).
 
     One product with S covers the whole grid: its n_s (deg v + 1) columns
-    are the folded X; each s then combines them with its C.
+    are the folded X; each s then combines them with its C.  That GEMM is
+    the one O(n^2 n_s deg v) step, so it runs in scipy's BLAS, next to the LU
+    of S (see linalg.numpy_blas_serial).
     """
     b = as_vector(b)
     C, X = q._tables()
     Xc = X * q._fold(q.fac.solve(b))
     n_s, n_k, n = X.shape
-    Y = (q.fac.S @ Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
+    Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
     R = Y.transpose(1, 0, 2) @ C.transpose(0, 2, 1)
     # 2-norms over the eigenvalue axis; np.linalg.norm's complex temporaries
     # cost more than the GEMM at n = 128

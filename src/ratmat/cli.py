@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .experiment import ExperimentConfig, blas_threads_for, derive_poles, run_experiment
-from .linalg import blas_threads, factorize, matrix_from_json, vector_from_json
+from .experiment import ExperimentConfig, derive_poles, run_experiment, trial_threads
+from .linalg import factorize, matrix_from_json, vector_from_json
 from .rom import PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
 
@@ -77,7 +77,7 @@ def bound_cmd(args) -> int:
     side = "two" if d is not None else "one"
     # the BLAS threads follow the order as a trial's do, so the bits ignore
     # the cores; A is factorized once, and basis, reduction and bound share it
-    with blas_threads(blas_threads_for(A.shape[0])):
+    with trial_threads(A.shape[0]):
         fac = factorize(A)
         V, _ = build_krylov_basis(fac, b, spec, side=side, d=d)
         model = reduce(fac, b, V, d=d, spec=spec, side=side)

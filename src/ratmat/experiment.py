@@ -28,6 +28,7 @@ from .linalg import (
     blas_thread_counts,
     blas_threads,
     integer_from_json,
+    numpy_blas_serial,
 )
 from .rom import (
     FinitePole,
@@ -43,7 +44,8 @@ MAX_REDRAWS = 10
 
 # Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
 # so its output bits do not depend on the core count, and trials may run
-# concurrently instead.  At and above it BLAS keeps its own threads and trials
+# concurrently instead.  At and above it numpy's BLAS runs on one thread,
+# scipy's (the LU of S and the grid product) keeps its own threads, and trials
 # run one after another.  README.md has the measurements behind the value.
 PIN_BELOW_N = 640
 
@@ -52,10 +54,13 @@ _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
 
 
 def _real(key: str, value) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"config: {key} must be a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"config: {key} must be a finite number, got {value!r}")
 
 
 def _rectangle(value) -> dict:
@@ -201,15 +206,25 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
     return poles
 
 
-def blas_threads_for(n: int) -> int | None:
-    """BLAS threads for work on order n: 1 below PIN_BELOW_N, else BLAS's own."""
-    return 1 if n < PIN_BELOW_N else None
+def trial_threads(n: int):
+    """The BLAS thread pin of a trial or an `xp bound` call on order n: every
+    build on one thread below PIN_BELOW_N, numpy's build alone from it up."""
+    return blas_threads(1) if n < PIN_BELOW_N else numpy_blas_serial()
+
+
+def draw_eigenvectors(rng, n: int) -> np.ndarray:
+    """S with real and imaginary parts uniform in [-1, 1], drawn in that
+    order into one complex array."""
+    S = np.empty((n, n), dtype=np.complex128)
+    S.real = rng.uniform(-1.0, 1.0, (n, n))
+    S.imag = rng.uniform(-1.0, 1.0, (n, n))
+    return S
 
 
 def _run_trial_full(config: ExperimentConfig, poles: np.ndarray, rng):
-    # the BLAS thread count moves e0 in the last digits, so every route to a
-    # trial takes it from the config alone
-    with blas_threads(blas_threads_for(config.n)):
+    # the BLAS thread counts move e0 in the last digits, so every route to a
+    # trial takes them from the config alone
+    with trial_threads(config.n):
         return _run_trial_pinned(config, poles, rng)
 
 
@@ -221,7 +236,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
           + 1j * rng.uniform(r["im_min"], r["im_max"], n))
 
     for redraws in range(MAX_REDRAWS + 1):
-        S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+        S = draw_eigenvectors(rng, n)
         fac = EigenFactorization(S, nu)
         if fac.cond_estimate <= COND_LIMIT:
             break
@@ -293,8 +308,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Below PIN_BELOW_N every trial runs on one BLAS thread, and trials run
     concurrently when RATMAT_THREADS is set above 1.  At and above it trials
-    run one after another on BLAS's own threads.  Each trial owns an
-    independent RNG stream, so results do not depend on scheduling.
+    run one after another, with numpy's BLAS on one thread and scipy's on its
+    own threads.  Each trial owns an independent RNG stream, so results do
+    not depend on scheduling.
     """
     t_start = time.perf_counter()
     requested = _requested_workers()
@@ -308,9 +324,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             model, nu = None, None  # only trial 0 feeds the figure data
         return record, model, nu
 
-    pin = blas_threads_for(config.n)
-    workers = min(requested, config.trials) if pin is not None else 1
-    with blas_threads(pin):
+    pinned = config.n < PIN_BELOW_N
+    workers = min(requested, config.trials) if pinned else 1
+    with trial_threads(config.n):
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(one, range(config.trials)))
@@ -350,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seconds_per_trial": [rec.seconds for rec in records],
         "diagnostics": {
             "workers": workers,
-            "blas_threads": pin,
+            "blas_threads": 1 if pinned else None,
             "openblas_libraries": len(blas_thread_counts()),
             "cond_S": [rec.cond_S for rec in records],
             "redraws": [rec.redraws for rec in records],

@@ -15,11 +15,13 @@ import ctypes
 import logging
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +85,8 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
             raise ValueError(
                 f"{name}: entry {i} is not a [re, im] pair of numbers: {entry!r}"
             ) from exc
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError(f"{name}: entry {i} is out of the float range") from exc
     return as_matrix(np.array(values, dtype=np.complex128).reshape(rows, cols), name)
 
 
@@ -138,9 +142,8 @@ class EigenFactorization:
         if self.eigenvalues.size != self.S.shape[0]:
             raise ValueError("eigenvalue count does not match S")
         self.norm1 = _norm1(self.S)
-        with _lapack_threads():
-            lu, piv, info = lapack.zgetrf(self.S)
-            rcond = lapack.zgecon(lu, self.norm1)[0] if info == 0 else 0.0
+        lu, piv, info = lapack.zgetrf(self.S)
+        rcond = lapack.zgecon(lu, self.norm1)[0] if info == 0 else 0.0
         self.lu = (lu, piv)
         self.cond_estimate = 1.0 / rcond if rcond > 0 else np.inf
 
@@ -151,6 +154,16 @@ class EigenFactorization:
     @property
     def usable(self) -> bool:
         return bool(self.cond_estimate <= UNUSABLE_COND)
+
+    def times(self, X) -> np.ndarray:
+        """S X for a block of columns X, by scipy's BLAS like S's LU.
+
+        This is the call numpy's matmul makes for S @ X, with the same bits:
+        (S X)^T = X^T S^T in column-major order, where X^T and S^T are the
+        row-major arrays.  Nothing is copied when X is column-major, and the
+        result is row-major.
+        """
+        return blas.zgemm(1.0, X, self.S.T, trans_a=1).T
 
     def solve(self, Y) -> np.ndarray:
         """S^-1 Y for a vector or a block of columns Y."""
@@ -164,9 +177,8 @@ class EigenFactorization:
         """M^-1 Y for M = S or S^H, refused when its normwise backward error
         ||M X - Y||_1 / (||M||_1 ||X||_1) exceeds BACKWARD_TOL."""
         Y = np.asarray(Y, dtype=np.complex128)
-        with _lapack_threads():
-            X, _ = lapack.zgetrs(*self.lu, Y.reshape(Y.shape[0], -1),
-                                 trans=2 if adjoint else 0)
+        X, _ = lapack.zgetrs(*self.lu, Y.reshape(Y.shape[0], -1),
+                             trans=2 if adjoint else 0)
         X = X.reshape(Y.shape)
         if adjoint:  # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
             MX = (X.conj().T @ self.S).conj().T
@@ -221,7 +233,8 @@ def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
 def eig_small(A) -> EigenFactorization:
     """Dense complex eigen decomposition of a square matrix of any order.
 
-    The eigenpairs are checked by their residual; the result is flagged
+    LAPACK's zgeev comes from scipy's build, which numpy_blas_serial leaves
+    threaded.  The eigenpairs are checked by their residual; the result is flagged
     unusable when S is singular or too ill-conditioned (see EigenFactorization).
     """
     A = as_square_matrix(A)
@@ -229,7 +242,7 @@ def eig_small(A) -> EigenFactorization:
     if n == 0:
         raise ValueError("empty matrix")
     try:
-        w, S = np.linalg.eig(A)
+        w, S = scipy.linalg.eig(A, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
     scale = np.abs(A).max() if n else 0.0
@@ -276,26 +289,42 @@ def poly_roots(coeffs):
     return eig_small(comp).eigenvalues
 
 
+class _Build(NamedTuple):
+    """One loaded OpenBLAS build and its thread-count functions."""
+
+    name: str       # library file name
+    numpy: bool     # loaded from numpy's package or its .libs folder
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+def _numpy_owns(path: str) -> bool:
+    root = os.path.dirname(os.path.realpath(np.__file__))
+    return (os.path.dirname(path) == root + ".libs"
+            or path.startswith(root + os.sep))
+
+
 class _OpenBLASPin:
-    """Process-wide OpenBLAS thread count, shared by every Python thread.
+    """Process-wide OpenBLAS thread counts, shared by every Python thread.
 
     numpy and scipy each load their own OpenBLAS build, and each build keeps
     one thread count for the whole process.  The builds are found on first
-    use from the process's memory map, so importing costs nothing.  The
-    outermost entry saves and sets the counts, the outermost exit restores
-    them, and entries in between only count depth, under one lock.
+    use from the process's memory map, so importing costs nothing.  A pin
+    sets k threads on every build, or on numpy's build alone.  The outermost
+    entry saves and sets the counts, the outermost exit restores them, and
+    entries in between only count depth, under one lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._builds = None  # [(library name, get, set)]
+        self._builds = None  # [_Build]
         self._depth = 0
-        self._threads = None
+        self._mode = None    # (k, numpy_only) of the pin held
         self._saved = []
 
-    def builds(self):
+    def builds(self) -> list:
         with self._lock:
-            return self._discover()
+            return list(self._discover())
 
     def _discover(self):
         if self._builds is None:
@@ -313,42 +342,57 @@ class _OpenBLASPin:
                     continue
                 functions = _thread_functions(lib)
                 if functions is not None:
-                    self._builds.append((os.path.basename(path), *functions))
+                    self._builds.append(
+                        _Build(os.path.basename(path), _numpy_owns(path), *functions))
         return self._builds
 
-    def enter(self, k: int, join: bool = False):
-        """Pin to k threads; with join, an entry inside a pin keeps its k."""
+    def _targets(self, numpy_only: bool) -> list:
+        """The builds a pin sets: all, or numpy's alone; none of numpy's
+        when its build cannot be told from the others or is the only one."""
+        builds = self._discover()
+        if not numpy_only:
+            return builds
+        own = [b for b in builds if b.numpy]
+        return own if len(own) < len(builds) else []
+
+    def enter(self, k: int, numpy_only: bool = False):
         with self._lock:
-            if self._depth and k != self._threads and not join:
-                raise ValueError(
-                    f"blas_threads({k}) inside blas_threads({self._threads})"
-                )
+            if self._depth and (k, numpy_only) != self._mode:
+                raise ValueError(f"{_describe(k, numpy_only)} inside "
+                                 f"{_describe(*self._mode)}")
             if not self._depth:
-                builds = self._discover()
-                self._saved = [(name, get(), setter)
-                               for name, get, setter in builds]
-                for _, _, setter in builds:
-                    setter(k)
-                self._threads = k
-                if builds:
+                targets = self._targets(numpy_only)
+                self._saved = [(b, b.get()) for b in targets]
+                for b in targets:
+                    b.set(k)
+                self._mode = (k, numpy_only)
+                if targets:
                     log.debug("OpenBLAS threads set to %d on %s (were %s)", k,
-                              ", ".join(name for name, _, _ in builds),
-                              ", ".join(str(c) for _, c, _ in self._saved))
+                              ", ".join(b.name for b in targets),
+                              ", ".join(str(c) for _, c in self._saved))
+                elif not self._builds:
+                    log.debug("no OpenBLAS loaded; %s does nothing",
+                              _describe(k, numpy_only))
                 else:
-                    log.debug("no OpenBLAS loaded; blas_threads(%d) does nothing", k)
+                    log.debug("numpy's OpenBLAS is not a build of its own; "
+                              "%s does nothing", _describe(k, numpy_only))
             self._depth += 1
 
     def exit(self):
         with self._lock:
             self._depth -= 1
             if not self._depth:
-                for _, count, setter in self._saved:
-                    setter(count)
+                for b, count in self._saved:
+                    b.set(count)
                 if self._saved:
                     log.debug("OpenBLAS threads restored to %s",
-                              ", ".join(str(c) for _, c, _ in self._saved))
+                              ", ".join(str(c) for _, c in self._saved))
                 self._saved = []
-                self._threads = None
+                self._mode = None
+
+
+def _describe(k: int, numpy_only: bool) -> str:
+    return "numpy_blas_serial()" if numpy_only else f"blas_threads({k})"
 
 
 def _thread_functions(lib):
@@ -369,26 +413,18 @@ _PIN = _OpenBLASPin()
 
 def blas_thread_counts() -> dict:
     """Current thread count of each loaded OpenBLAS build, by library name."""
-    return {name: get() for name, get, _ in _PIN.builds()}
+    return {b.name: b.get() for b in _PIN.builds()}
 
 
 @contextmanager
-def _lapack_threads():
-    """One BLAS thread for LAPACK calls on S, or the pin already held.
-
-    scipy's LAPACK and numpy's BLAS are separate OpenBLAS builds whose idle
-    threads spin after a call, so a threaded LU next to a threaded product
-    fights over the cores (n = 1024 on 2 cores: a 47 ms zgetrf, then a
-    50 ms GEMM, took 212 ms together).
-    """
-    _PIN.enter(1, join=True)
+def _pinned(k: int, numpy_only: bool):
+    _PIN.enter(k, numpy_only)
     try:
         yield
     finally:
         _PIN.exit()
 
 
-@contextmanager
 def blas_threads(k: int | None):
     """Run the block with every loaded OpenBLAS build on ``k`` threads.
 
@@ -398,12 +434,22 @@ def blas_threads(k: int | None):
     OpenBLAS this does nothing.
     """
     if k is None:
-        yield
-        return
+        return nullcontext()
     if k < 1:
         raise ValueError(f"blas_threads needs k >= 1, got {k}")
-    _PIN.enter(k)
-    try:
-        yield
-    finally:
-        _PIN.exit()
+    return _pinned(k, numpy_only=False)
+
+
+def numpy_blas_serial():
+    """Run the block with numpy's OpenBLAS build on one thread, every other
+    build on its own count.
+
+    scipy's LAPACK and BLAS and numpy's BLAS are separate builds whose idle
+    threads spin after a call, so a threaded product in one next to a
+    threaded call in the other fights over the cores (n = 1024 on 2 cores: a
+    47 ms zgetrf, then a 50 ms GEMM, took 212 ms together).  Under this pin
+    only scipy's build runs threaded.  Nothing changes when numpy's build
+    cannot be told apart from the others or is the only one.  Nesting and
+    restoring work as in blas_threads.
+    """
+    return _pinned(1, numpy_only=True)

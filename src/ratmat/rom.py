@@ -132,6 +132,8 @@ class PoleSpec:
             except (TypeError, ValueError) as exc:
                 raise _malformed(f"{where}.lambda is not a [re, im] pair of "
                                  f"numbers: {p['lambda']!r}") from exc
+            except OverflowError as exc:  # an integer beyond the float range
+                raise _malformed(f"{where}.lambda is out of the float range") from exc
             poles.append(FinitePole(lam,
                                     _spec_integer(f"{where}.kappa", p.get("kappa", 1)),
                                     _spec_integer(f"{where}.chi", p.get("chi", 0))))

@@ -329,6 +329,12 @@ def dense_krylov_vectors(A, x, kappa0, pole_mults, dual):
     return out
 
 
+def draw_eigenvectors_summed(rng, n):
+    """S as the sum of a real draw and i times a second real draw, the
+    expression the trial's one-buffer draw replaced."""
+    return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+
+
 def random_gaussian_matrix(rng, n):
     """Complex Ginibre matrix scaled so the spectrum sits in the unit disc."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

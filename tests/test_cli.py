@@ -157,7 +157,8 @@ def test_bound_above_order_64(tmp_path, capsys):
 
 def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
     """xp bound takes no LU of a shifted matrix and one eig each for A and
-    for Ahat; S^-1 goes through LAPACK's LU of S, not scipy.linalg's."""
+    for Ahat, both from scipy's LAPACK; S^-1 goes through LAPACK's LU of S,
+    not scipy.linalg's."""
     A, b, d = _rectangle_system(np.random.default_rng(32), 32)
     args = _bound_args(tmp_path, A, b, _fitted_spec(chi=1), d=d)
 
@@ -167,14 +168,15 @@ def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
     for name in ("lu_factor", "lu_solve"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
     calls = []
-    eig = np.linalg.eig
+    eig = scipy.linalg.eig
 
-    def counted(M):
+    def counted(M, **kwargs):
         calls.append(M.shape[0])
-        return eig(M)
+        return eig(M, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
     assert main(args) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["e1"] > 0.0
     assert calls == [32, 18]
@@ -318,6 +320,44 @@ def test_bound_malformed_pole_spec(tmp_path, capsys, spec, named):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed pole specification: ") and named in err
+
+
+_HUGE = 10 ** 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"t": _HUGE}, "config: t must be a finite number"),
+    ({"rectangle": {**_RECT, "re_min": -_HUGE}},
+     "config: rectangle.re_min must be a finite number"),
+])
+def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, named):
+    cfg = _dump(tmp_path, "cfg.json", config)
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, named", [
+    ("A", "A: entry 0 is out of the float range"),
+    ("b", "b: entry 0 is out of the float range"),
+    ("d", "d: entry 0 is out of the float range"),
+    ("poles", "poles[0].lambda is out of the float range"),
+])
+def test_bound_out_of_range_number_exits_cleanly(tmp_path, capsys, target, named):
+    scalar = {"rows": 1, "cols": 1, "data": [[-1.0, 0.0]]}
+    files = {"A": scalar, "b": scalar, "d": scalar,
+             "poles": {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0]}]}}
+    if target == "poles":
+        files[target] = {"kappa0": 1, "poles": [{"lambda": [_HUGE, 0]}]}
+    else:
+        files[target] = {"rows": 1, "cols": 1, "data": [[0, _HUGE]]}
+    args = ["bound"]
+    for key, obj in files.items():
+        args += [f"--{key}", _dump(tmp_path, f"{key}.json", obj)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_run_command_small(tmp_path, capsys):

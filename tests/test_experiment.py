@@ -7,12 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from ratmat import experiment, rom
-from ratmat.linalg import blas_thread_counts
+from oracles import draw_eigenvectors_summed
+from ratmat import experiment, linalg, rom
+from ratmat.linalg import EigenFactorization, blas_thread_counts
 from ratmat.experiment import (
     ExperimentConfig,
     boundary_fit_nodes,
     derive_poles,
+    draw_eigenvectors,
     run_experiment,
     run_trial,
 )
@@ -260,6 +262,70 @@ def test_run_experiment_serial_unpinned_at_crossover(tmp_path, monkeypatch):
     assert diagnostics["blas_threads"] is None
     stored = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert stored["diagnostics"] == diagnostics
+
+
+def _record_threads(monkeypatch, n):
+    """Thread counts of every OpenBLAS build at each LU of an order-n S
+    (zgetrf) and at each grid product, recorded by wrapping both."""
+    seen = []
+    zgetrf = linalg.lapack.zgetrf
+    times = EigenFactorization.times
+
+    def lu(a, *args, **kwargs):
+        if a.shape[0] == n:  # not the small LUs of derive_poles or the ROM
+            seen.append(("zgetrf", blas_thread_counts()))
+        return zgetrf(a, *args, **kwargs)
+
+    def grid(self, X):
+        seen.append(("times", blas_thread_counts()))
+        return times(self, X)
+
+    monkeypatch.setattr(linalg.lapack, "zgetrf", lu)
+    monkeypatch.setattr(EigenFactorization, "times", grid)
+    return seen
+
+
+def test_threads_below_pin_are_one_on_every_build(tmp_path, monkeypatch):
+    before = blas_thread_counts()
+    seen = _record_threads(monkeypatch, 16)
+    run_experiment(ExperimentConfig(n=16, trials=2, seed=2,
+                                    outdir=str(tmp_path / "out")))
+    assert {name for name, _ in seen} == {"zgetrf", "times"}
+    assert all(set(counts.values()) <= {1} for _, counts in seen)
+    assert blas_thread_counts() == before
+
+
+def test_threads_from_pin_up_serialize_numpy_build_alone(tmp_path, monkeypatch):
+    """From PIN_BELOW_N up numpy's build reads 1 at the LU and at the grid
+    product, the other builds read their own counts, the counts come back
+    afterwards, and two runs write the same bytes."""
+    monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
+    before = blas_thread_counts()
+    builds = linalg._PIN.builds()
+    own = {b.name for b in builds if b.numpy}
+    separable = 0 < len(own) < len(builds)
+    expected = {name: 1 if separable and name in own else count
+                for name, count in before.items()}
+    seen = _record_threads(monkeypatch, 24)
+    outputs = []
+    for sub in ("a", "b"):
+        config = ExperimentConfig(n=24, trials=2, seed=2,
+                                  outdir=str(tmp_path / sub))
+        assert run_experiment(config)["diagnostics"]["blas_threads"] is None
+        assert blas_thread_counts() == before
+        outputs.append(((tmp_path / sub / "trials.csv").read_bytes(),
+                        (tmp_path / sub / "figure.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert {name for name, _ in seen} == {"zgetrf", "times"}
+    assert all(counts == expected for _, counts in seen)
+
+
+def test_draw_eigenvectors_matches_summed_draw():
+    n = 64
+    S = draw_eigenvectors(np.random.default_rng([1, 0]), n)
+    ref = draw_eigenvectors_summed(np.random.default_rng([1, 0]), n)
+    assert S.dtype == np.complex128 and S.flags.c_contiguous
+    assert np.array_equal(S, ref)
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])

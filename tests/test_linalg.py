@@ -1,9 +1,11 @@
 import logging
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy
 
 from oracles import eig_extreme_hermitian
 from ratmat import linalg
@@ -18,6 +20,7 @@ from ratmat.linalg import (
     matrix_from_json,
     matrix_to_json,
     mgs_orthonormalize,
+    numpy_blas_serial,
     poly_roots,
     vector_from_json,
     vector_to_json,
@@ -294,31 +297,69 @@ def test_blas_threads_none_changes_nothing():
     assert blas_thread_counts() == before
 
 
-def test_lapack_on_S_runs_on_one_thread_or_the_held_pin(monkeypatch):
-    """The LU and the solves with S run on one thread outside a pin, keep the
-    count of a pin they run in, and leave the counts as they found them."""
+def test_numpy_blas_serial_pins_numpy_build_alone():
+    """numpy's build reads 1 and every other build keeps its count; a pin of
+    another kind inside it is refused, and the counts come back after."""
     before = _openblas_counts()
-    seen = []
-
-    def counted(name):
-        routine = getattr(linalg.lapack, name)
-
-        def call(*args, **kwargs):
-            seen.append((name, set(blas_thread_counts().values())))
-            return routine(*args, **kwargs)
-
-        monkeypatch.setattr(linalg.lapack, name, call)
-
-    for name in ("zgetrf", "zgetrs"):
-        counted(name)
-    S = np.eye(3) + 0.1j
-    EigenFactorization(S, [1.0, 2.0, 3.0]).solve(np.ones(3))
+    builds = linalg._PIN.builds()
+    own = {b.name for b in builds if b.numpy}
+    separable = 0 < len(own) < len(builds)
+    expected = {name: 1 if separable and name in own else count
+                for name, count in before.items()}
+    with numpy_blas_serial():
+        assert blas_thread_counts() == expected
+        with numpy_blas_serial():
+            pass
+        assert blas_thread_counts() == expected
+        with pytest.raises(ValueError, match=r"blas_threads\(1\) inside numpy_blas_serial"):
+            with blas_threads(1):
+                pass
     assert blas_thread_counts() == before
-    with blas_threads(2):
-        EigenFactorization(S, [1.0, 2.0, 3.0]).solve_adjoint(np.ones(3))
+    with blas_threads(1):
+        with pytest.raises(ValueError, match=r"numpy_blas_serial\(\) inside blas_threads"):
+            with numpy_blas_serial():
+                pass
     assert blas_thread_counts() == before
-    assert seen == [("zgetrf", {1}), ("zgetrs", {1}),
-                    ("zgetrf", {2}), ("zgetrs", {2})]
+
+
+def test_numpy_build_is_told_by_its_path():
+    root = os.path.dirname(os.path.realpath(np.__file__))
+    assert linalg._numpy_owns(root + ".libs/libscipy_openblas64_-x.so")
+    assert linalg._numpy_owns(root + "/.dylibs/libopenblas.so")
+    scipy_root = os.path.dirname(os.path.realpath(scipy.__file__))
+    assert not linalg._numpy_owns(scipy_root + ".libs/libscipy_openblas-x.so")
+    assert not linalg._numpy_owns("/usr/lib/libopenblas.so.0")
+
+
+def test_numpy_blas_serial_without_a_numpy_build_is_a_no_op(monkeypatch, caplog):
+    """One shared library, or builds numpy's path does not tell apart: the
+    pin sets nothing."""
+    calls = []
+    shared = linalg._Build("libopenblas.so.0", False, lambda: 2, calls.append)
+    pin = linalg._OpenBLASPin()
+    pin._builds = [shared]
+    monkeypatch.setattr(linalg, "_PIN", pin)
+    with caplog.at_level(logging.DEBUG, logger="ratmat"):
+        with numpy_blas_serial():
+            pass
+    assert calls == []
+    assert "does nothing" in caplog.text
+    pin._builds = [shared._replace(numpy=True)]
+    with numpy_blas_serial():
+        pass
+    assert calls == []
+
+
+def test_times_is_the_product_with_S():
+    rng = np.random.default_rng(5)
+    n, m = 40, 7
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    fac = EigenFactorization(S, np.arange(n))
+    X = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))).T
+    Y = fac.times(X)
+    assert Y.shape == (n, m) and Y.flags.c_contiguous
+    ref = S @ X
+    assert np.abs(Y - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_blas_threads_nested_restores_once():
