@@ -324,7 +324,7 @@ class _OpenBLASPin:
 
     def builds(self) -> list:
         with self._lock:
-            return list(self._discover())
+            return self._discover()
 
     def _discover(self):
         if self._builds is None:

@@ -335,6 +335,16 @@ def draw_eigenvectors_summed(rng, n):
     return rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
 
 
+def numpy_serial_counts(builds, before: dict) -> dict:
+    """The thread counts numpy_blas_serial should leave: 1 on numpy's
+    builds and the prior count on the others, or no change at all when
+    numpy's build is not a library of its own."""
+    own = {b.name for b in builds if b.numpy}
+    separable = 0 < len(own) < len(builds)
+    return {name: 1 if separable and name in own else count
+            for name, count in before.items()}
+
+
 def random_gaussian_matrix(rng, n):
     """Complex Ginibre matrix scaled so the spectrum sits in the unit disc."""
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import draw_eigenvectors_summed
+from oracles import draw_eigenvectors_summed, numpy_serial_counts
 from ratmat import experiment, linalg, rom
 from ratmat.linalg import EigenFactorization, blas_thread_counts
 from ratmat.experiment import (
@@ -301,11 +301,7 @@ def test_threads_from_pin_up_serialize_numpy_build_alone(tmp_path, monkeypatch):
     afterwards, and two runs write the same bytes."""
     monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
     before = blas_thread_counts()
-    builds = linalg._PIN.builds()
-    own = {b.name for b in builds if b.numpy}
-    separable = 0 < len(own) < len(builds)
-    expected = {name: 1 if separable and name in own else count
-                for name, count in before.items()}
+    expected = numpy_serial_counts(linalg._PIN.builds(), before)
     seen = _record_threads(monkeypatch, 24)
     outputs = []
     for sub in ("a", "b"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from oracles import eig_extreme_hermitian
+from oracles import eig_extreme_hermitian, numpy_serial_counts
 from ratmat import linalg
 from ratmat.linalg import (
     EigenFactorization,
@@ -301,11 +301,7 @@ def test_numpy_blas_serial_pins_numpy_build_alone():
     """numpy's build reads 1 and every other build keeps its count; a pin of
     another kind inside it is refused, and the counts come back after."""
     before = _openblas_counts()
-    builds = linalg._PIN.builds()
-    own = {b.name for b in builds if b.numpy}
-    separable = 0 < len(own) < len(builds)
-    expected = {name: 1 if separable and name in own else count
-                for name, count in before.items()}
+    expected = numpy_serial_counts(linalg._PIN.builds(), before)
     with numpy_blas_serial():
         assert blas_thread_counts() == expected
         with numpy_blas_serial():
