@@ -61,6 +61,8 @@ class BoundQuery:
                  s_samples: int = 11, mu_samples: int = 50):
         if s_samples < 2:
             raise ValueError("need at least the endpoints in the s grid")
+        if mu_samples > np.iinfo(np.intp).max:  # the hull sampling overflows
+            raise ValueError("mu_samples is beyond numpy's index range")
         self.fac = factorize(A)
         self.nodes = nodes
         self.v = v
@@ -135,8 +137,9 @@ class BoundQuery:
         )
 
 
-def bound_vector(q: BoundQuery, b) -> BoundResult:
-    """max over the grid of || core(s, mu) b ||_2 (this is e1).
+def bound_vector(q: BoundQuery, b, *, c=None) -> BoundResult:
+    """max over the grid of || core(s, mu) b ||_2 (this is e1); c = S^-1 b is
+    solved here unless the caller passes it.
 
     One product with S covers the whole grid: its n_s (deg v + 1) columns
     are the folded X; each s then combines them with its C.  That GEMM is
@@ -145,7 +148,7 @@ def bound_vector(q: BoundQuery, b) -> BoundResult:
     """
     b = as_vector(b)
     C, X = q._tables()
-    Xc = X * q._fold(q.fac.solve(b))
+    Xc = X * q._fold(q.fac.solve(b) if c is None else c)
     n_s, n_k, n = X.shape
     Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
     R = Y.transpose(1, 0, 2) @ C.transpose(0, 2, 1)
@@ -157,11 +160,11 @@ def bound_vector(q: BoundQuery, b) -> BoundResult:
         return q._result(np.sqrt(sq))
 
 
-def bound_bilinear(q: BoundQuery, b, d) -> BoundResult:
-    """max over the grid of | d^H core(s, mu) b |."""
+def bound_bilinear(q: BoundQuery, b, d, *, c=None) -> BoundResult:
+    """max over the grid of | d^H core(s, mu) b |; c as in bound_vector."""
     b = as_vector(b)
     d = as_vector(d)
     C, X = q._tables()
     u = d.conj() @ q.fac.S
-    y = X @ q._fold(u * q.fac.solve(b))
+    y = X @ q._fold(u * (q.fac.solve(b) if c is None else c))
     return q._result(np.abs(C @ y[..., np.newaxis])[..., 0])

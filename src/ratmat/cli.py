@@ -76,14 +76,15 @@ def bound_cmd(args) -> int:
 
     side = "two" if d is not None else "one"
     # the BLAS threads follow the order as a trial's do, so the bits ignore
-    # the cores; A is factorized once, and basis, reduction and bound share it
+    # the cores; A is factorized and c = S^-1 b solved once for all three steps
     with trial_threads(A.shape[0]):
         fac = factorize(A)
-        V, _ = build_krylov_basis(fac, b, spec, side=side, d=d)
+        c = fac.solve(b)
+        V, _ = build_krylov_basis(fac, b, spec, side=side, d=d, c=c)
         model = reduce(fac, b, V, d=d, spec=spec, side=side)
         res = arnoldi_error_bound(model, fac, b, d=d, t=args.t,
                                   s_samples=args.s_samples,
-                                  mu_samples=args.mu_samples)
+                                  mu_samples=args.mu_samples, c=c)
     print(json.dumps(res.to_json()))
     return 0
 

@@ -35,8 +35,8 @@ BACKWARD_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert ``a`` to a 2-D complex128 array."""
-    m = np.array(a, dtype=np.complex128, order="C")
+    """Validate and convert ``a`` to a 2-D complex128 array, copied only if needed."""
+    m = np.asarray(a, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):
@@ -120,12 +120,14 @@ def _norm1(m: np.ndarray) -> float:
 class EigenFactorization:
     """Eigen decomposition A = S diag(eigenvalues) S^-1, with S held as its LU.
 
-    S^-1 is never formed: ``solve`` and ``solve_adjoint`` apply S^-1 and S^-H
-    through the LU factors and check the backward error of what they return.
-    ``cond_estimate`` is LAPACK's one-norm condition estimate of S (zgecon;
-    N. J. Higham, ACM TOMS 14, 1988), infinite when S is singular.  A
-    factorization is not ``usable`` when S is too ill-conditioned to solve
-    with reliably; the eigenvalue list is still valid in that case.
+    S is held as given, not copied, when it is C-contiguous complex128, so
+    its owner must leave it unchanged.  S^-1 is never formed: ``solve`` and
+    ``solve_adjoint`` apply S^-1 and S^-H through the LU factors and check
+    the backward error of what they return.  ``cond_estimate`` is LAPACK's
+    one-norm condition estimate of S (zgecon; N. J. Higham, ACM TOMS 14,
+    1988), infinite when S is singular.  A factorization is not ``usable``
+    when S is too ill-conditioned to solve with reliably; the eigenvalue
+    list is still valid in that case.
     """
 
     S: np.ndarray
@@ -155,14 +157,17 @@ class EigenFactorization:
     def usable(self) -> bool:
         return bool(self.cond_estimate <= UNUSABLE_COND)
 
-    def times(self, X) -> np.ndarray:
-        """S X for a block of columns X, by scipy's BLAS like S's LU.
-
-        This is the call numpy's matmul makes for S @ X, with the same bits:
-        (S X)^T = X^T S^T in column-major order, where X^T and S^T are the
-        row-major arrays.  Nothing is copied when X is column-major, and the
-        result is row-major.
+    def times(self, X, left: bool = False) -> np.ndarray:
+        """S X, or X^H S when ``left``, for a block of columns X, by scipy's
+        BLAS like S's LU: numpy's calls for S @ X and X.conj().T @ S, with the
+        same bits ((S X)^T = X^T S^T and (X^H S)^T = S^T conj(X) column-major,
+        S^T being the row-major S).  Nothing is copied when X is column-major
+        (row-major when ``left``); the result is row-major.
         """
+        if X.shape[1] == 1:  # numpy takes GEMV here, with other bits than GEMM
+            return X.conj().T @ self.S if left else self.S @ X
+        if left:
+            return blas.zgemm(1.0, self.S.T, X.conj().T, trans_b=1).T
         return blas.zgemm(1.0, X, self.S.T, trans_a=1).T
 
     def solve(self, Y) -> np.ndarray:
@@ -181,10 +186,10 @@ class EigenFactorization:
                              trans=2 if adjoint else 0)
         X = X.reshape(Y.shape)
         if adjoint:  # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
-            MX = (X.conj().T @ self.S).conj().T
+            MX = (self.times(X, left=True) if X.ndim == 2 else X.conj() @ self.S).conj().T
             norm = float(np.abs(self.S).sum(axis=1).max())
-        else:
-            MX, norm = self.S @ X, self.norm1
+        else:  # a block goes through times, a vector stays a numpy product
+            MX, norm = self.times(X) if X.ndim == 2 else self.S @ X, self.norm1
         resid, scale = _norm1(MX - Y), norm * _norm1(X)
         if not resid <= BACKWARD_TOL * scale:
             err = resid / scale if scale else np.inf

@@ -159,7 +159,7 @@ def _spec_integer(key: str, value) -> int:
     return integer_from_json(f"malformed pole specification: {key}", value)
 
 
-def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):
+def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=None):
     """Krylov vectors in listing order: powers first, then poles in order.
 
     The vectors stay in eigen-coordinates c = S^-1 x0, where a power is a
@@ -169,7 +169,8 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):
     the vectors back.  Poles are always given in primal form.
     """
     nu = fac.eigenvalues.conj() if dual else fac.eigenvalues
-    c = (x0.conj() @ fac.S).conj() if dual else fac.solve(x0)
+    if c is None:
+        c = (x0.conj() @ fac.S).conj() if dual else fac.solve(x0)
     cols = []
     y = c
     for _ in range(1, kappa0):
@@ -186,19 +187,20 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual):
                 cols.append(y)
     vectors = [x0] if kappa0 else []
     if cols:
-        C = np.column_stack(cols)
-        vectors += list((fac.solve_adjoint(C) if dual else fac.S @ C).T)
+        C = np.array(cols).T  # column-major, so times copies nothing
+        vectors += list((fac.solve_adjoint(C) if dual else fac.times(C)).T)
     return vectors
 
 
 def build_krylov_basis(A, b, spec: PoleSpec, side: str = "one", d=None,
-                       dep_tol: float = 1e-10):
+                       dep_tol: float = 1e-10, *, c=None):
     """Orthonormal basis V of the rational Krylov space, with a kept report.
 
     A is a matrix or an EigenFactorization; each vector costs O(n^2) in
-    eigen-coordinates, after one solve with the LU of S.  Returns (V, kept):
-    kept lists which generated vectors survived the Gram-Schmidt dependence
-    filter, in generation order.
+    eigen-coordinates, after one solve c = S^-1 b with the LU of S (a caller
+    that holds c passes it).  A spec of more vectors than the order of A is
+    refused before any is built.  Returns (V, kept): kept lists which
+    generated vectors survived the Gram-Schmidt filter, in generation order.
     """
     fac = factorize(A)
     b = as_vector(b)
@@ -206,8 +208,10 @@ def build_krylov_basis(A, b, spec: PoleSpec, side: str = "one", d=None,
         raise ValueError("side must be 'one' or 'two'")
     if side == "two" and d is None:
         raise ValueError("two-sided basis needs the output vector d")
+    if (total := spec.total(side)) > fac.order:
+        raise ValueError(f"{total} Krylov vectors exceed the order {fac.order} of A")
     raw = _krylov_vectors(fac, b, spec.kappa0,
-                          [(p.lam, p.kappa) for p in spec.poles], False)
+                          [(p.lam, p.kappa) for p in spec.poles], False, c)
     if side == "two":
         d = as_vector(d)
         raw += _krylov_vectors(fac, d, spec.chi0,
@@ -247,7 +251,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
 
     A is a matrix or an EigenFactorization; either way
     Ahat = ((V^H S) diag(nu)) (S^-1 V) without forming A, with S^-1 V one
-    block solve with the LU of S.
+    block solve with the LU of S and V^H S one block product.
     """
     fac = factorize(A)
     b = as_vector(b)
@@ -256,7 +260,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
     ortho = np.abs(V.conj().T @ V - np.eye(nh)).max()
     if ortho > 1e-10:
         raise ValueError(f"V is not orthonormal: deviation {ortho:.2e}")
-    Ahat = ((V.conj().T @ fac.S) * fac.eigenvalues) @ fac.solve(V)
+    Ahat = (fac.times(V, left=True) * fac.eigenvalues) @ fac.solve(V)
     bhat = V.conj().T @ b
     dhat = V.conj().T @ as_vector(d) if d is not None else None
     return ReducedModel(V, Ahat, bhat, dhat, spec=spec, side=side)
@@ -350,7 +354,8 @@ def moment_match_check(model: ReducedModel, A, b, d=None, kind: str = "vector",
 
 
 def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
-                        s_samples: int = 11, mu_samples: int = 50) -> BoundResult:
+                        s_samples: int = 11, mu_samples: int = 50, *,
+                        c=None) -> BoundResult:
     """Certified bound on the reduction error of the impulse response.
 
     One-sided: bounds ||e^(At) b - V e^(Ahat t) bhat||_2.  Two-sided (d
@@ -358,7 +363,7 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
     the reduced spectrum, the denominator collects the finite poles with
     their multiplicities.  A is a matrix or an EigenFactorization (S^-1
     applied through the LU of S); a caller that already holds the
-    factorization passes it.
+    factorization, or c = S^-1 b, passes it.
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")
@@ -372,5 +377,5 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
     q = BoundQuery(A, model.reduced_nodes, v, t=t,
                    s_samples=s_samples, mu_samples=mu_samples)
     if d is not None:
-        return bound_bilinear(q, b, d)
-    return bound_vector(q, b)
+        return bound_bilinear(q, b, d, c=c)
+    return bound_vector(q, b, c=c)

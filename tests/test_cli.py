@@ -329,6 +329,7 @@ _HUGE = 10 ** 400  # a JSON integer no float can hold
     ({"t": _HUGE}, "config: t must be a finite number"),
     ({"rectangle": {**_RECT, "re_min": -_HUGE}},
      "config: rectangle.re_min must be a finite number"),
+    ({"n": 16, "mu_samples": _HUGE}, "mu_samples is beyond numpy's index range"),
 ])
 def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, named):
     cfg = _dump(tmp_path, "cfg.json", config)
@@ -358,6 +359,26 @@ def test_bound_out_of_range_number_exits_cleanly(tmp_path, capsys, target, named
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kappa0": _HUGE},
+    {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": _HUGE}]},
+])
+def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, spec):
+    """Refused before any Krylov vector is built; this ran until killed."""
+    args = _bound_args(tmp_path, np.array([[-1.0]]), [1.0], spec)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the order 1 of A" in err
+
+
+def test_bound_out_of_range_mu_samples_exits_cleanly(tmp_path, capsys):
+    args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
+                       [1.0] * 4, {"kappa0": 3}, extra=[f"--mu-samples={_HUGE}"])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mu_samples is beyond" in err
 
 
 def test_run_command_small(tmp_path, capsys):

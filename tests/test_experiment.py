@@ -127,6 +127,45 @@ def test_run_trial_forms_no_inverse(monkeypatch):
     assert rec.redraws == 0 and 1.0 <= rec.cond_S <= experiment.COND_LIMIT
 
 
+def test_run_trial_solves_for_b_once(monkeypatch):
+    """One trial solves with the LU of S twice: c = S^-1 b, which the basis,
+    e0 and the bound share, and the block S^-1 V of the reduction."""
+    n = 32
+    config = ExperimentConfig(n=n, trials=1)
+    poles = derive_poles(config)
+    widths = []
+    zgetrs = linalg.lapack.zgetrs
+
+    def spy(lu, piv, b, *args, **kwargs):
+        if lu.shape[0] == n:  # not the solves of the order-9 reduced model
+            widths.append(b.shape[1])
+        return zgetrs(lu, piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "zgetrs", spy)
+    rec = run_trial(config, poles, np.random.default_rng([0, 3]))
+    assert widths == [1, 9]
+    assert 0.0 < rec.e0 <= rec.e1 * 1.05
+
+
+def test_run_trial_block_products_go_through_times(monkeypatch):
+    """Every block product with S of a trial is EigenFactorization.times:
+    the Krylov block, V^H S, the check of S^-1 V and the grid's 99 columns."""
+    n = 32
+    config = ExperimentConfig(n=n, trials=1)
+    poles = derive_poles(config)
+    seen = []
+    times = EigenFactorization.times
+
+    def recording(self, X, left=False):
+        if self.order == n:
+            seen.append((np.shape(X)[1], left))
+        return times(self, X, left)
+
+    monkeypatch.setattr(EigenFactorization, "times", recording)
+    run_trial(config, poles, np.random.default_rng([0, 3]))
+    assert seen == [(8, False), (9, True), (9, False), (99, False)]
+
+
 def test_run_trial_gives_up_after_max_redraws(monkeypatch):
     monkeypatch.setattr(experiment, "COND_LIMIT", 1e-6)
     config = ExperimentConfig(n=16, trials=1)
@@ -266,7 +305,7 @@ def test_run_experiment_serial_unpinned_at_crossover(tmp_path, monkeypatch):
 
 def _record_threads(monkeypatch, n):
     """Thread counts of every OpenBLAS build at each LU of an order-n S
-    (zgetrf) and at each grid product, recorded by wrapping both."""
+    (zgetrf) and at each block product with S, recorded by wrapping both."""
     seen = []
     zgetrf = linalg.lapack.zgetrf
     times = EigenFactorization.times
@@ -276,12 +315,12 @@ def _record_threads(monkeypatch, n):
             seen.append(("zgetrf", blas_thread_counts()))
         return zgetrf(a, *args, **kwargs)
 
-    def grid(self, X):
+    def product(self, X, *args, **kwargs):
         seen.append(("times", blas_thread_counts()))
-        return times(self, X)
+        return times(self, X, *args, **kwargs)
 
     monkeypatch.setattr(linalg.lapack, "zgetrf", lu)
-    monkeypatch.setattr(EigenFactorization, "times", grid)
+    monkeypatch.setattr(EigenFactorization, "times", product)
     return seen
 
 
@@ -296,9 +335,9 @@ def test_threads_below_pin_are_one_on_every_build(tmp_path, monkeypatch):
 
 
 def test_threads_from_pin_up_serialize_numpy_build_alone(tmp_path, monkeypatch):
-    """From PIN_BELOW_N up numpy's build reads 1 at the LU and at the grid
-    product, the other builds read their own counts, the counts come back
-    afterwards, and two runs write the same bytes."""
+    """From PIN_BELOW_N up numpy's build reads 1 at the LU and at every
+    block product with S, the other builds read their own counts, the counts
+    come back afterwards, and two runs write the same bytes."""
     monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
     before = blas_thread_counts()
     expected = numpy_serial_counts(linalg._PIN.builds(), before)

@@ -356,6 +356,24 @@ def test_times_is_the_product_with_S():
     assert Y.shape == (n, m) and Y.flags.c_contiguous
     ref = S @ X
     assert np.abs(Y - ref).max() <= 1e-14 * np.abs(ref).max()
+    V = X.copy(order="C")  # row-major, as the left product takes it
+    Z = fac.times(V, left=True)
+    assert Z.shape == (m, n) and Z.flags.c_contiguous
+    ref = V.conj().T @ S
+    assert np.abs(Z - ref).max() <= 1e-14 * np.abs(ref).max()
+    # one column is numpy's GEMV, whose bits the block route would not keep
+    assert np.array_equal(fac.times(X[:, :1]), S @ X[:, :1])
+    assert np.array_equal(fac.times(V[:, :1], left=True), V[:, :1].conj().T @ S)
+
+
+def test_eigen_factorization_holds_S_without_copy():
+    rng = np.random.default_rng(6)
+    S = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    assert EigenFactorization(S, np.arange(5)).S is S
+    assert EigenFactorization(S.real, np.arange(5)).S is not S.real  # converted
+    S[2, 3] = np.nan
+    with pytest.raises(ValueError, match="S contains non-finite entries"):
+        EigenFactorization(S, np.arange(5))
 
 
 def test_blas_threads_nested_restores_once():
