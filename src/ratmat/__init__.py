@@ -26,15 +26,12 @@ from .interp import (
     divided_differences,
     hermite_interpolate,
     linearized_rational_fit,
-    partial_fractions,
     rational_interpolate_fixed_denominator,
     remainder_scalar,
 )
 from .jets import (
     ExpJet,
     FactoredPoly,
-    FunctionJet,
-    PolyJet,
     ProductJet,
     VExpDerivative,
 )
@@ -58,7 +55,6 @@ from .rom import (
     impulse_reduced,
     moment_match_check,
     reduce,
-    scalar_impulse_exact,
 )
 
 __version__ = "0.1.0"

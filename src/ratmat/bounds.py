@@ -61,8 +61,9 @@ class BoundQuery:
                  s_samples: int = 11, mu_samples: int = 50):
         if s_samples < 2:
             raise ValueError("need at least the endpoints in the s grid")
-        if mu_samples > np.iinfo(np.intp).max:  # the hull sampling overflows
-            raise ValueError("mu_samples is beyond numpy's index range")
+        for name, size in (("s_samples", s_samples), ("mu_samples", mu_samples)):
+            if size > np.iinfo(np.intp).max:  # building the grid would overflow
+                raise ValueError(f"{name} is beyond numpy's index range")
         self.fac = factorize(A)
         self.nodes = nodes
         self.v = v

@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
+from .bounds import BoundResult
 from .experiment import ExperimentConfig, derive_poles, run_experiment, trial_threads
 from .linalg import factorize, matrix_from_json, vector_from_json
-from .rom import PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
+from .rom import FinitePole, PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
 
 def _load_json(path: str):
@@ -38,14 +39,8 @@ def run_cmd(args) -> int:
 def poles_cmd(args) -> int:
     config = _config_from_file(args.config)
     poles = derive_poles(config)
-    spec = {
-        "kappa0": 1,
-        "poles": [
-            {"lambda": [float(p.real), float(p.imag)], "kappa": 1, "chi": 0}
-            for p in poles
-        ],
-    }
-    print(json.dumps(spec, indent=2))
+    spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
+    print(json.dumps(spec.to_json(), indent=2))
     return 0
 
 
@@ -67,11 +62,8 @@ def bound_cmd(args) -> int:
         raise ValueError(f"--mu-samples must be at least 1, got {args.mu_samples}")
 
     if np.linalg.norm(b) == 0.0:
-        result = {
-            "e1": 0.0, "argmax_s": 0.0, "argmax_mu": [0.0, 0.0],
-            "grid": {"s": int(args.s_samples), "mu": int(args.mu_samples)},
-        }
-        print(json.dumps(result))
+        zero = BoundResult(0.0, 0.0, 0j, args.s_samples, args.mu_samples)
+        print(json.dumps(zero.to_json()))
         return 0
 
     side = "two" if d is not None else "one"

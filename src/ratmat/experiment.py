@@ -209,7 +209,7 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
 def trial_threads(n: int):
     """The BLAS thread pin of a trial or an `xp bound` call on order n: every
     build on one thread below PIN_BELOW_N, numpy's build alone from it up."""
-    return blas_threads(1) if n < PIN_BELOW_N else numpy_blas_serial()
+    return blas_threads() if n < PIN_BELOW_N else numpy_blas_serial()
 
 
 def draw_eigenvectors(rng, n: int) -> np.ndarray:
@@ -219,13 +219,6 @@ def draw_eigenvectors(rng, n: int) -> np.ndarray:
     S.real = rng.uniform(-1.0, 1.0, (n, n))
     S.imag = rng.uniform(-1.0, 1.0, (n, n))
     return S
-
-
-def _run_trial_full(config: ExperimentConfig, poles: np.ndarray, rng):
-    # the BLAS thread counts move e0 in the last digits, so every route to a
-    # trial takes them from the config alone
-    with trial_threads(config.n):
-        return _run_trial_pinned(config, poles, rng)
 
 
 def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
@@ -272,7 +265,11 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
 
 def run_trial(config: ExperimentConfig, poles: np.ndarray, rng) -> TrialRecord:
     """One draw of (A, b), reduction, true error e0 and bound e1."""
-    return _run_trial_full(config, poles, rng)[0]
+    # the BLAS thread counts move e0 in the last digits, so every route to a
+    # trial takes them from the config alone (run_experiment holds the same
+    # pin around all of its trials)
+    with trial_threads(config.n):
+        return _run_trial_pinned(config, poles, rng)[0]
 
 
 def _figure_rows(config, poles, model, nu):
@@ -319,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     def one(trial: int):
         rng = np.random.default_rng([config.seed, trial])
-        record, model, nu = _run_trial_full(config, poles, rng)
+        record, model, nu = _run_trial_pinned(config, poles, rng)
         record.trial = trial
         if trial != 0:
             model, nu = None, None  # only trial 0 feeds the figure data

@@ -32,9 +32,7 @@ def convex_hull(points) -> np.ndarray:
     pts = sorted(set(complex(z) for z in as_vector(points, "points")), key=_lex_key)
     if not pts:
         raise ValueError("no points given")
-    if len(pts) == 1:
-        return np.array(pts)
-    if len(pts) == 2:
+    if len(pts) <= 2:
         return np.array(pts)
 
     lower: list[complex] = []
@@ -47,10 +45,7 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        hull = hull[:1]
-    return np.array(hull)
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def hull_boundary_samples(vertices, count: int) -> np.ndarray:

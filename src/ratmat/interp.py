@@ -1,6 +1,5 @@
 """Confluent divided differences, Hermite/Newton interpolation, rational
-interpolation with a fixed denominator, multipoint rational fitting, and
-partial fractions.
+interpolation with a fixed denominator, and multipoint rational fitting.
 
 Interpolation nodes are an ordered complex sequence; a repeated node encodes
 a derivative (Hermite) condition of correspondingly higher order.
@@ -14,7 +13,7 @@ from math import factorial
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .jets import FactoredPoly, PolyJet, ProductJet, jet_divide
+from .jets import FactoredPoly, ProductJet
 from .linalg import as_vector
 
 # Nodes closer than this, relative to max(1, max |z|), are one confluent node.
@@ -54,10 +53,6 @@ class NodeList:
 
     def __iter__(self):
         return iter(self.nodes)
-
-    @property
-    def max_multiplicity(self) -> int:
-        return int(self.mults.max())
 
     def omega(self) -> FactoredPoly:
         """Node polynomial prod (z - z_k) over all nodes with multiplicity."""
@@ -290,50 +285,3 @@ def linearized_rational_fit(samples, L: int, M: int) -> RationalFit:
     poles = FactoredPoly.from_coeffs(v_c).roots
     return RationalFit(u_c, v_c, poles, residuals)
 
-
-@dataclass
-class PartialFractions:
-    """Omega/v = quotient + sum_k sum_j residues[k][j-1] / (z - pole_k)^j."""
-
-    quotient: np.ndarray  # ascending coefficients, empty for a zero quotient
-    poles: np.ndarray
-    residues: list  # residues[k][j-1] multiplies (z - pole_k)^(-j)
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = npp.polyval(z, self.quotient) if self.quotient.size else np.zeros_like(z)
-        for pole, res in zip(self.poles, self.residues):
-            shifted = z - pole
-            for j, r in enumerate(res, start=1):
-                out = out + r / shifted ** j
-        return out
-
-
-def partial_fractions(omega_coeffs, v: FactoredPoly) -> PartialFractions:
-    """Decompose Omega/v into polynomial quotient plus pole terms.
-
-    Omega is given by ascending coefficients; v in factored form.  Residues
-    at a pole of multiplicity m come from the order-(m-1) Taylor jet of
-    (remainder / cofactor) there.
-    """
-    omega = as_vector(omega_coeffs, "omega coefficients")
-    if not omega.size or not np.any(omega):
-        raise ValueError("zero numerator polynomial")
-    if v.degree == 0:
-        return PartialFractions(omega / v.scale, np.zeros(0, complex), [])
-    quot, rem = npp.polydiv(omega, v.coeffs())
-    quot = np.trim_zeros(quot, "b")
-    rem_jetter = PolyJet(rem if rem.size else np.zeros(1))
-
-    residues = []
-    for pole, m in zip(v.roots, v.mults):
-        m = int(m)
-        cof = v.restrict(pole)
-        top = rem_jetter.eval(pole, m - 1)
-        bot = cof.eval(pole, m - 1)
-        taylor = jet_divide(top, bot)
-        fact = np.array([factorial(j) for j in range(m)])
-        c = taylor / fact  # c_j = (rem/cof)^(j)(pole)/j!
-        # c_j (z-pole)^(j-m): the (z-pole)^(-i) coefficient is c_{m-i}
-        residues.append(np.array([c[m - j] for j in range(1, m + 1)]))
-    return PartialFractions(np.asarray(quot, dtype=np.complex128), v.roots.copy(), residues)

@@ -6,8 +6,10 @@ A jet function exposes ``eval(z, order)`` returning the stack
 
 as an array of shape ``(order+1,) + shape(z)``; ``z`` may be a scalar or any
 ndarray.  Derivatives are raw (not divided by factorials).  Implementations
-must be vectorized over ``z``.  VExpDerivative is the one derivative the
-bound needs, (v e^(t.))^(N), in closed form.
+must be vectorized over ``z``.  The jets here are exp (ExpJet), a polynomial
+kept in factored form (FactoredPoly) and the Leibniz product of two jets
+(ProductJet); VExpDerivative is the one derivative the bound needs,
+(v e^(t.))^(N), in closed form.
 """
 
 from __future__ import annotations
@@ -36,28 +38,6 @@ class ExpJet:
         base = np.exp(self.t * z)
         powers = self.t ** np.arange(order + 1)
         return powers.reshape((order + 1,) + (1,) * z.ndim) * base[np.newaxis]
-
-
-class PolyJet:
-    """Polynomial with ascending coefficients c0 + c1 z + ...; exact jets."""
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-D sequence")
-        self.coeffs = c
-
-    def __call__(self, z):
-        return npp.polyval(_as_points(z), self.coeffs)
-
-    def eval(self, z, order: int):
-        z = _as_points(z)
-        rows = []
-        c = self.coeffs
-        for _ in range(order + 1):
-            rows.append(npp.polyval(z, c) if c.size else np.zeros_like(z))
-            c = npp.polyder(c) if c.size > 1 else np.zeros(0)
-        return np.stack(rows)
 
 
 class FactoredPoly:
@@ -131,11 +111,6 @@ class FactoredPoly:
             rows.append(npp.polyval(z, c) if c.size else np.zeros_like(z))
         return np.stack(rows)
 
-    def restrict(self, drop_root: complex) -> "FactoredPoly":
-        """The cofactor with one root removed entirely."""
-        keep = [i for i, r in enumerate(self.roots) if r != drop_root]
-        return FactoredPoly(self.roots[keep], self.mults[keep], self.scale)
-
 
 class ProductJet:
     """Jet of a product f*g via the Leibniz rule."""
@@ -152,29 +127,6 @@ class ProductJet:
         return jet_product(F, G)
 
 
-class FunctionJet:
-    """Jet backed by explicit derivative callables fns[k] = f^(k)."""
-
-    def __init__(self, fns):
-        self.fns = list(fns)
-        if not self.fns:
-            raise ValueError("need at least the value callable")
-
-    def __call__(self, z):
-        return np.asarray(self.fns[0](_as_points(z)), dtype=np.complex128)
-
-    def eval(self, z, order: int):
-        if order >= len(self.fns):
-            raise ValueError(
-                f"derivative order {order} unavailable: only "
-                f"{len(self.fns) - 1} provided"
-            )
-        z = _as_points(z)
-        return np.stack(
-            [np.asarray(fn(z), dtype=np.complex128) for fn in self.fns[: order + 1]]
-        )
-
-
 def jet_product(F, G):
     """Leibniz combination of two derivative stacks of equal order."""
     F = np.asarray(F)
@@ -188,25 +140,6 @@ def jet_product(F, G):
         for k in range(m + 1):
             acc += comb(m, k) * F[k] * G[m - k]
         H[m] = acc
-    return H
-
-
-def jet_divide(F, G):
-    """Derivative stack of f/g from stacks of f and g; needs g(z) != 0."""
-    F = np.asarray(F)
-    G = np.asarray(G)
-    if F.shape != G.shape:
-        raise ValueError("jet stacks must have matching shapes")
-    if np.any(G[0] == 0):
-        raise ValueError("division by a vanishing function value")
-    n = F.shape[0] - 1
-    H = np.empty_like(F)
-    H[0] = F[0] / G[0]
-    for m in range(1, n + 1):
-        acc = F[m].astype(np.complex128).copy()
-        for k in range(1, m + 1):
-            acc -= comb(m, k) * G[k] * H[m - k]
-        H[m] = acc / G[0]
     return H
 
 

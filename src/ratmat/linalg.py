@@ -15,7 +15,7 @@ import ctypes
 import logging
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -32,6 +32,10 @@ UNUSABLE_COND = 1e12
 # Largest accepted backward error of a solve with S; LU with partial pivoting
 # attains about n * 1e-16.
 BACKWARD_TOL = 1e-10
+
+# MGS drops a vector whose residual after projection is at most this times
+# its original norm.
+DEP_TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -198,12 +202,12 @@ class EigenFactorization:
         return X
 
 
-def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
+def mgs_orthonormalize(cols):
     """Orthonormalize a sequence of vectors by modified Gram-Schmidt.
 
     Uses a second orthogonalization pass for numerical orthogonality.  A
     vector is dropped when its residual after projection onto the span of the
-    previously kept ones has norm <= dep_tol times its original norm.
+    previously kept ones has norm <= DEP_TOL times its original norm.
 
     Returns (Q, kept) where Q has the surviving orthonormal columns and kept
     lists the indices of the inputs that produced them.
@@ -211,8 +215,6 @@ def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
     vecs = [as_vector(c, f"column {i}") for i, c in enumerate(cols)]
     if not vecs:
         raise ValueError("no vectors to orthonormalize")
-    if dep_tol <= 0:
-        raise ValueError("dep_tol must be positive")
     dim = vecs[0].size
     if any(v.size != dim for v in vecs):
         raise ValueError("vectors have mixed dimensions")
@@ -226,7 +228,7 @@ def mgs_orthonormalize(cols, dep_tol: float = 1e-10):
             for q in basis:
                 w -= (q.conj() @ w) * q
         norm = np.linalg.norm(w)
-        if norm <= dep_tol * norm0:
+        if norm <= DEP_TOL * norm0:
             continue
         basis.append(w / norm)
         kept.append(i)
@@ -315,16 +317,16 @@ class _OpenBLASPin:
     numpy and scipy each load their own OpenBLAS build, and each build keeps
     one thread count for the whole process.  The builds are found on first
     use from the process's memory map, so importing costs nothing.  A pin
-    sets k threads on every build, or on numpy's build alone.  The outermost
-    entry saves and sets the counts, the outermost exit restores them, and
-    entries in between only count depth, under one lock.
+    sets one thread on every build, or on numpy's build alone.  The
+    outermost entry saves and sets the counts, the outermost exit restores
+    them, and entries in between only count depth, under one lock.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._builds = None  # [_Build]
         self._depth = 0
-        self._mode = None    # (k, numpy_only) of the pin held
+        self._numpy_only = False  # the kind of the pin held
         self._saved = []
 
     def builds(self) -> list:
@@ -360,27 +362,27 @@ class _OpenBLASPin:
         own = [b for b in builds if b.numpy]
         return own if len(own) < len(builds) else []
 
-    def enter(self, k: int, numpy_only: bool = False):
+    def enter(self, numpy_only: bool):
         with self._lock:
-            if self._depth and (k, numpy_only) != self._mode:
-                raise ValueError(f"{_describe(k, numpy_only)} inside "
-                                 f"{_describe(*self._mode)}")
+            if self._depth and numpy_only != self._numpy_only:
+                raise ValueError(f"{_describe(numpy_only)} inside "
+                                 f"{_describe(self._numpy_only)}")
             if not self._depth:
                 targets = self._targets(numpy_only)
                 self._saved = [(b, b.get()) for b in targets]
                 for b in targets:
-                    b.set(k)
-                self._mode = (k, numpy_only)
+                    b.set(1)
+                self._numpy_only = numpy_only
                 if targets:
-                    log.debug("OpenBLAS threads set to %d on %s (were %s)", k,
+                    log.debug("OpenBLAS threads set to 1 on %s (were %s)",
                               ", ".join(b.name for b in targets),
                               ", ".join(str(c) for _, c in self._saved))
                 elif not self._builds:
                     log.debug("no OpenBLAS loaded; %s does nothing",
-                              _describe(k, numpy_only))
+                              _describe(numpy_only))
                 else:
                     log.debug("numpy's OpenBLAS is not a build of its own; "
-                              "%s does nothing", _describe(k, numpy_only))
+                              "%s does nothing", _describe(numpy_only))
             self._depth += 1
 
     def exit(self):
@@ -393,11 +395,10 @@ class _OpenBLASPin:
                     log.debug("OpenBLAS threads restored to %s",
                               ", ".join(str(c) for _, c in self._saved))
                 self._saved = []
-                self._mode = None
 
 
-def _describe(k: int, numpy_only: bool) -> str:
-    return "numpy_blas_serial()" if numpy_only else f"blas_threads({k})"
+def _describe(numpy_only: bool) -> str:
+    return "numpy_blas_serial()" if numpy_only else "blas_threads()"
 
 
 def _thread_functions(lib):
@@ -422,27 +423,23 @@ def blas_thread_counts() -> dict:
 
 
 @contextmanager
-def _pinned(k: int, numpy_only: bool):
-    _PIN.enter(k, numpy_only)
+def _pinned(numpy_only: bool):
+    _PIN.enter(numpy_only)
     try:
         yield
     finally:
         _PIN.exit()
 
 
-def blas_threads(k: int | None):
-    """Run the block with every loaded OpenBLAS build on ``k`` threads.
+def blas_threads():
+    """Run the block with every loaded OpenBLAS build on one thread.
 
-    ``None`` changes nothing.  The setting is process-wide: nested entries and
-    entries from other threads share it and must ask for the same ``k``, and
-    the prior counts come back when the last of them exits.  Without a loaded
-    OpenBLAS this does nothing.
+    The setting is process-wide: nested entries and entries from other
+    threads share it and must be of the same kind, and the prior counts come
+    back when the last of them exits.  Without a loaded OpenBLAS this does
+    nothing.
     """
-    if k is None:
-        return nullcontext()
-    if k < 1:
-        raise ValueError(f"blas_threads needs k >= 1, got {k}")
-    return _pinned(k, numpy_only=False)
+    return _pinned(numpy_only=False)
 
 
 def numpy_blas_serial():
@@ -457,4 +454,4 @@ def numpy_blas_serial():
     cannot be told apart from the others or is the only one.  Nesting and
     restoring work as in blas_threads.
     """
-    return _pinned(1, numpy_only=True)
+    return _pinned(numpy_only=True)

@@ -3,28 +3,146 @@
 Everything here deliberately avoids the library's own evaluation paths:
 matrix exponentials come from a scaled-and-squared Taylor sum, derivatives
 from difference stencils, p(A) and r(A) b from the matrix A itself by
-products and shifted LU solves, and the bound's (s, mu) grid from the jet
-at every point instead of the library's factored tables.  Agreement between
-library and oracle is then a two-route check instead of a tautology.  The
-numerical-range box and its polygon helpers live here too: only the tests
-use them, to check where the reduced spectrum lies.
+products and shifted LU solves, with u/v and Omega/v split into partial
+fractions here (by polynomial and quotient jets of this module), and the
+bound's (s, mu) grid from the jet at every point instead of the library's
+factored tables.  Agreement between library and oracle is then a two-route
+check instead of a tautology.  The numerical-range box and its polygon
+helpers live here too: only the tests use them, to check where the reduced
+spectrum lies.
 """
 
-from math import factorial, pi
+from dataclasses import dataclass
+from math import comb, factorial, pi
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import scipy.linalg as sla
 
 from ratmat.bounds import BoundQuery, BoundResult
 from ratmat.geometry import convex_hull
-from ratmat.interp import (
-    NewtonForm,
-    NodeList,
-    PartialFractions,
-    RationalInterpolant,
-    partial_fractions,
-)
+from ratmat.interp import NewtonForm, NodeList, RationalInterpolant
+from ratmat.jets import FactoredPoly
 from ratmat.linalg import EigenFactorization, as_square_matrix, as_vector
+
+
+class PolyJet:
+    """Polynomial with ascending coefficients c0 + c1 z + ...; exact jets."""
+
+    def __init__(self, coeffs):
+        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError("coefficients must be a nonempty 1-D sequence")
+        self.coeffs = c
+
+    def __call__(self, z):
+        return npp.polyval(np.asarray(z, dtype=np.complex128), self.coeffs)
+
+    def eval(self, z, order: int):
+        z = np.asarray(z, dtype=np.complex128)
+        rows = []
+        c = self.coeffs
+        for _ in range(order + 1):
+            rows.append(npp.polyval(z, c) if c.size else np.zeros_like(z))
+            c = npp.polyder(c) if c.size > 1 else np.zeros(0)
+        return np.stack(rows)
+
+
+class FunctionJet:
+    """Jet backed by explicit derivative callables fns[k] = f^(k)."""
+
+    def __init__(self, fns):
+        self.fns = list(fns)
+        if not self.fns:
+            raise ValueError("need at least the value callable")
+
+    def __call__(self, z):
+        return np.asarray(self.fns[0](np.asarray(z, dtype=np.complex128)),
+                          dtype=np.complex128)
+
+    def eval(self, z, order: int):
+        if order >= len(self.fns):
+            raise ValueError(
+                f"derivative order {order} unavailable: only "
+                f"{len(self.fns) - 1} provided"
+            )
+        z = np.asarray(z, dtype=np.complex128)
+        return np.stack(
+            [np.asarray(fn(z), dtype=np.complex128) for fn in self.fns[: order + 1]]
+        )
+
+
+def jet_divide(F, G):
+    """Derivative stack of f/g from stacks of f and g; needs g(z) != 0."""
+    F = np.asarray(F)
+    G = np.asarray(G)
+    if F.shape != G.shape:
+        raise ValueError("jet stacks must have matching shapes")
+    if np.any(G[0] == 0):
+        raise ValueError("division by a vanishing function value")
+    n = F.shape[0] - 1
+    H = np.empty_like(F)
+    H[0] = F[0] / G[0]
+    for m in range(1, n + 1):
+        acc = F[m].astype(np.complex128).copy()
+        for k in range(1, m + 1):
+            acc -= comb(m, k) * G[k] * H[m - k]
+        H[m] = acc / G[0]
+    return H
+
+
+def restrict(v: FactoredPoly, drop_root: complex) -> FactoredPoly:
+    """The cofactor of v with one root removed entirely."""
+    keep = [i for i, r in enumerate(v.roots) if r != drop_root]
+    return FactoredPoly(v.roots[keep], v.mults[keep], v.scale)
+
+
+@dataclass
+class PartialFractions:
+    """Omega/v = quotient + sum_k sum_j residues[k][j-1] / (z - pole_k)^j."""
+
+    quotient: np.ndarray  # ascending coefficients, empty for a zero quotient
+    poles: np.ndarray
+    residues: list  # residues[k][j-1] multiplies (z - pole_k)^(-j)
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=np.complex128)
+        out = npp.polyval(z, self.quotient) if self.quotient.size else np.zeros_like(z)
+        for pole, res in zip(self.poles, self.residues):
+            shifted = z - pole
+            for j, r in enumerate(res, start=1):
+                out = out + r / shifted ** j
+        return out
+
+
+def partial_fractions(omega_coeffs, v: FactoredPoly) -> PartialFractions:
+    """Decompose Omega/v into polynomial quotient plus pole terms.
+
+    Omega is given by ascending coefficients; v in factored form.  Residues
+    at a pole of multiplicity m come from the order-(m-1) Taylor jet of
+    (remainder / cofactor) there.
+    """
+    omega = as_vector(omega_coeffs, "omega coefficients")
+    if not omega.size or not np.any(omega):
+        raise ValueError("zero numerator polynomial")
+    if v.degree == 0:
+        return PartialFractions(omega / v.scale, np.zeros(0, complex), [])
+    quot, rem = npp.polydiv(omega, v.coeffs())
+    quot = np.trim_zeros(quot, "b")
+    rem_jetter = PolyJet(rem if rem.size else np.zeros(1))
+
+    residues = []
+    for pole, m in zip(v.roots, v.mults):
+        m = int(m)
+        cof = restrict(v, pole)
+        top = rem_jetter.eval(pole, m - 1)
+        bot = cof.eval(pole, m - 1)
+        taylor = jet_divide(top, bot)
+        fact = np.array([factorial(j) for j in range(m)])
+        c = taylor / fact  # c_j = (rem/cof)^(j)(pole)/j!
+        # c_j (z-pole)^(j-m): the (z-pole)^(-i) coefficient is c_{m-i}
+        residues.append(np.array([c[m - j] for j in range(1, m + 1)]))
+    return PartialFractions(np.asarray(quot, dtype=np.complex128), v.roots.copy(), residues)
 
 
 def taylor_expm(A, terms=30):

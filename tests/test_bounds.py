@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    FunctionJet,
     bound_core_matrix,
     bound_grid_pointwise,
     numerical_range_box,
@@ -15,7 +16,7 @@ from oracles import (
 from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, ProductJet, VExpDerivative
+from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative
 from ratmat.linalg import EigenFactorization
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 

@@ -50,14 +50,15 @@ def _rectangle_system(rng, n):
 def test_poles_command(tmp_path, capsys):
     cfg = _dump(tmp_path, "cfg.json", {"n": 16, "trials": 1})
     assert main(["poles", "--config", cfg]) == 0
-    spec = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    spec = json.loads(out)
     assert spec["kappa0"] == 1
     assert len(spec["poles"]) == 8
     for p in spec["poles"]:
         assert p["kappa"] == 1 and p["chi"] == 0
         assert len(p["lambda"]) == 2
-    # the printed spec is valid input for the library
-    PoleSpec.from_json(spec)
+    # the printed spec is valid input for the library, and its own JSON form
+    assert out == json.dumps(PoleSpec.from_json(spec).to_json(), indent=2) + "\n"
 
 
 def test_bound_scalar_system_full_space(tmp_path, capsys):
@@ -330,6 +331,7 @@ _HUGE = 10 ** 400  # a JSON integer no float can hold
     ({"rectangle": {**_RECT, "re_min": -_HUGE}},
      "config: rectangle.re_min must be a finite number"),
     ({"n": 16, "mu_samples": _HUGE}, "mu_samples is beyond numpy's index range"),
+    ({"n": 16, "s_samples": 2 ** 63 + 1}, "s_samples is beyond numpy's index range"),
 ])
 def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, named):
     cfg = _dump(tmp_path, "cfg.json", config)
@@ -374,11 +376,15 @@ def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, spec):
 
 
 def test_bound_out_of_range_mu_samples_exits_cleanly(tmp_path, capsys):
-    args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
-                       [1.0] * 4, {"kappa0": 3}, extra=[f"--mu-samples={_HUGE}"])
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "mu_samples is beyond" in err
+    # 2**63 + 1 passes argparse and the lower bound, and used to reach
+    # np.linspace as the s grid's size
+    for flag, size, named in (("--mu-samples", _HUGE, "mu_samples is beyond"),
+                              ("--s-samples", 2 ** 63 + 1, "s_samples is beyond")):
+        args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
+                           [1.0] * 4, {"kappa0": 3}, extra=[f"{flag}={size}"])
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 def test_run_command_small(tmp_path, capsys):

@@ -24,6 +24,20 @@ def test_hull_degenerate_point():
         convex_hull([])
 
 
+@given(
+    base=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda d: d != (0, 0)),
+    ks=st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+)
+def test_hull_of_points_on_a_line_is_its_extremes(base, step, ks):
+    """Repeated or collinear points, exact in floating point, give one
+    vertex or the lexicographically first and last point, in that order."""
+    pts = [complex(*base) + k * complex(*step) for k in ks]
+    ends = sorted(set(pts), key=lambda z: (z.real, z.imag))
+    hull = convex_hull(pts)
+    assert hull.tolist() == (ends if len(ends) == 1 else [ends[0], ends[-1]])
+
+
 def test_hull_random_halfplane_check():
     """Brute-force: every input lies left of every ccw hull edge, and every
     hull vertex is one of the inputs."""

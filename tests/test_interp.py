@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import contour_divdiff_oracle, genocchi_hermite_oracle
+from oracles import (
+    FunctionJet,
+    PolyJet,
+    contour_divdiff_oracle,
+    genocchi_hermite_oracle,
+    partial_fractions,
+)
 from ratmat.interp import (
     CONFLUENCE_TOL,
     NewtonForm,
@@ -16,11 +22,10 @@ from ratmat.interp import (
     divided_differences,
     hermite_interpolate,
     linearized_rational_fit,
-    partial_fractions,
     rational_interpolate_fixed_denominator,
     remainder_scalar,
 )
-from ratmat.jets import ExpJet, FactoredPoly, FunctionJet, PolyJet
+from ratmat.jets import ExpJet, FactoredPoly
 
 
 def test_node_list_canonicalization():
@@ -28,7 +33,7 @@ def test_node_list_canonicalization():
     assert np.array_equal(nl.reps, [1.0, 0.0])
     assert np.array_equal(nl.mults, [2, 1])
     assert np.array_equal(nl.nodes, [1.0, 1.0, 0.0])
-    assert nl.max_multiplicity == 2
+    assert nl.mults.max() == 2
     assert len(nl.append(0.0)) == 4
     with pytest.raises(ValueError):
         NodeList([])

@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import os
 import sys
@@ -142,9 +143,18 @@ def test_mgs_identity_basis():
 
 def test_mgs_drops_dependent_vector():
     e1 = np.array([1.0, 0.0])
-    Q, kept = mgs_orthonormalize([e1, 2 * e1], dep_tol=1e-10)
+    Q, kept = mgs_orthonormalize([e1, 2 * e1])
     assert kept == [0]
     assert Q.shape == (2, 1)
+
+
+def test_mgs_drops_at_the_dependence_tolerance():
+    """A vector is kept when its residual after projection exceeds DEP_TOL
+    times its norm, and dropped at half of that."""
+    e1, e2 = np.eye(2)
+    for scale, kept_expected in ((2.0, [0, 1]), (0.5, [0])):
+        _, kept = mgs_orthonormalize([e1, e1 + scale * linalg.DEP_TOL * e2])
+        assert kept == kept_expected
 
 
 def test_mgs_random_span_and_projector():
@@ -165,8 +175,6 @@ def test_mgs_errors():
         mgs_orthonormalize([])
     with pytest.raises(ValueError, match="rank zero"):
         mgs_orthonormalize([np.zeros(3), np.zeros(3)])
-    with pytest.raises(ValueError):
-        mgs_orthonormalize([np.ones(3)], dep_tol=0.0)
 
 
 def test_eig_small_diagonal_and_rotation():
@@ -274,26 +282,17 @@ def _openblas_counts():
     return counts
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_blas_threads_sets_and_restores(k):
+@pytest.mark.parametrize("depth", [1, 2])
+def test_blas_threads_sets_and_restores(depth):
+    """Every build reads 1 under a pin entered ``depth`` times, and the
+    counts come back when the block raises through the outermost exit."""
     before = _openblas_counts()
-    with blas_threads(k):
-        assert set(blas_thread_counts().values()) == {k}
-    assert blas_thread_counts() == before
     with pytest.raises(RuntimeError, match="inside the pin"):
-        with blas_threads(k):
-            assert set(blas_thread_counts().values()) == {k}
+        with contextlib.ExitStack() as stack:
+            for _ in range(depth):
+                stack.enter_context(blas_threads())
+            assert set(blas_thread_counts().values()) == {1}
             raise RuntimeError("inside the pin")
-    assert blas_thread_counts() == before
-
-
-def test_blas_threads_none_changes_nothing():
-    before = _openblas_counts()
-    with blas_threads(2):
-        with blas_threads(None):
-            assert set(blas_thread_counts().values()) == {2}
-    with blas_threads(None):
-        assert blas_thread_counts() == before
     assert blas_thread_counts() == before
 
 
@@ -307,11 +306,11 @@ def test_numpy_blas_serial_pins_numpy_build_alone():
         with numpy_blas_serial():
             pass
         assert blas_thread_counts() == expected
-        with pytest.raises(ValueError, match=r"blas_threads\(1\) inside numpy_blas_serial"):
-            with blas_threads(1):
+        with pytest.raises(ValueError, match=r"blas_threads\(\) inside numpy_blas_serial"):
+            with blas_threads():
                 pass
     assert blas_thread_counts() == before
-    with blas_threads(1):
+    with blas_threads():
         with pytest.raises(ValueError, match=r"numpy_blas_serial\(\) inside blas_threads"):
             with numpy_blas_serial():
                 pass
@@ -378,19 +377,16 @@ def test_eigen_factorization_holds_S_without_copy():
 
 def test_blas_threads_nested_restores_once():
     before = _openblas_counts()
-    with blas_threads(1):
-        with blas_threads(1):
+    with blas_threads():
+        with blas_threads():
             pass
         # the inner exit must leave the outer pin in place
         assert set(blas_thread_counts().values()) == {1}
         with pytest.raises(ValueError, match="inside blas_threads"):
-            with blas_threads(2):
+            with numpy_blas_serial():
                 pass
         assert set(blas_thread_counts().values()) == {1}
     assert blas_thread_counts() == before
-    with pytest.raises(ValueError, match="k >= 1"):
-        with blas_threads(0):
-            pass
 
 
 def test_blas_threads_two_threads_restore_once():
@@ -400,7 +396,7 @@ def test_blas_threads_two_threads_restore_once():
     seen = []
 
     def worker(i):
-        with blas_threads(1):
+        with blas_threads():
             both_inside.wait()
             if i == 1:
                 first_left.wait(10)
@@ -428,7 +424,7 @@ def test_blas_threads_stress_many_threads():
     try:
         def worker():
             for _ in range(100):
-                with blas_threads(1):
+                with blas_threads():
                     pinned.append(set(blas_thread_counts().values()) == {1})
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -448,6 +444,6 @@ def test_blas_threads_without_openblas_is_a_no_op(monkeypatch, caplog):
     pin._builds = []
     monkeypatch.setattr(linalg, "_PIN", pin)
     with caplog.at_level(logging.DEBUG, logger="ratmat"):
-        with blas_threads(1):
+        with blas_threads():
             assert blas_thread_counts() == {}
     assert "no OpenBLAS loaded" in caplog.text

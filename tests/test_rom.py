@@ -16,7 +16,6 @@ from ratmat.rom import (
     impulse_reduced,
     moment_match_check,
     reduce,
-    scalar_impulse_exact,
 )
 
 
@@ -176,35 +175,6 @@ def test_reduced_model_clusters_defective_spectrum():
 
 # --------------------------------------------------------------- impulses
 
-def test_scalar_impulse_exact_values():
-    rng = np.random.default_rng(241)
-    ev = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    fac = EigenFactorization(np.eye(5), ev)
-    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    got = scalar_impulse_exact(fac, b, d, 0.7)
-    ref = np.sum(d.conj() * np.exp(0.7 * ev) * b)
-    assert abs(got - ref) <= 1e-12 * abs(ref)
-    assert abs(scalar_impulse_exact(fac, b, d, 0.0) - d.conj() @ b) <= 1e-12
-
-
-def test_scalar_impulse_matches_series_oracle():
-    rng = np.random.default_rng(251)
-    A, S, ev, Sinv = random_diagonalizable(rng, 6)
-    fac = EigenFactorization(S, ev)
-    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    d = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    got = scalar_impulse_exact(fac, b, d, 0.5)
-    ref = complex(d.conj() @ (taylor_expm(0.5 * A) @ b))
-    assert abs(got - ref) <= 1e-8 * abs(ref)
-
-
-def test_scalar_impulse_unusable_factorization():
-    fac = EigenFactorization(np.diag([1.0, 1e-13]), [1.0, 2.0])
-    with pytest.raises(ValueError, match="unusable"):
-        scalar_impulse_exact(fac, np.ones(2), np.ones(2), 1.0)
-
-
 def test_impulse_reduced_full_order_is_exact():
     rng = np.random.default_rng(257)
     A, S, ev, Sinv = random_diagonalizable(rng, 6)
@@ -265,22 +235,50 @@ def test_moment_match_two_sided_both_kinds():
     assert moment_match_check(model, A, b, d=d, kind="bilinear") <= 1e-8
 
 
-def test_moment_match_explicit_probes_and_errors():
+# pole sites at least 1.5 from the square |Re z|, |Im z| <= 1 that holds
+# the spectrum, and at least 2 apart
+_MOMENT_SITES = [3.0, -3.0 + 1.0j, 0.5 + 3.0j, -1.0 - 3.0j, 2.5 + 2.5j]
+
+
+@given(
+    seed=st.integers(0, 2 ** 16),
+    poles=st.lists(
+        st.tuples(st.sampled_from(_MOMENT_SITES), st.integers(0, 3), st.integers(0, 3)),
+        min_size=1, max_size=2, unique_by=lambda p: p[0],
+    ),
+    kappa0=st.integers(0, 3),
+    chi0=st.integers(0, 3),
+    two_sided=st.booleans(),
+    spare=st.integers(1, 4),
+)
+def test_moment_match_random_specs(seed, poles, kappa0, chi0, two_sided, spare):
+    """Every admissible probe matches to 1e-8, in both kinds, for one- and
+    two-sided specs with multiplicities up to 3 on a random diagonalizable A
+    of order ``spare`` above the space's dimension."""
+    if not two_sided:
+        poles, chi0 = [(lam, kappa, 0) for lam, kappa, _ in poles], 0
+    finite = [FinitePole(lam, kappa, chi) for lam, kappa, chi in poles]
+    assume(kappa0 + sum(p.kappa for p in finite) > 0)
+    spec = PoleSpec(kappa0, finite, chi0=chi0)
+    side = "two" if two_sided else "one"
+    n = spec.total(side) + spare
+    rng = np.random.default_rng(seed)
+    A, S, ev, Sinv = random_diagonalizable(rng, n, radius=1.0)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V, _ = build_krylov_basis(A, b, spec, side=side, d=d)
+    model = reduce(A, b, V, d=d, spec=spec, side=side)
+    assert moment_match_check(model, A, b) <= 1e-8
+    assert moment_match_check(model, A, b, d=d, kind="bilinear") <= 1e-8
+
+
+def test_moment_match_argument_errors():
     rng = np.random.default_rng(277)
     A, S, ev, Sinv = random_diagonalizable(rng, 8)
     b = rng.standard_normal(8)
     spec = PoleSpec(2, [FinitePole(3.0, 1)])
     V, _ = build_krylov_basis(A, b, spec)
     model = reduce(A, b, V, spec=spec)
-    assert moment_match_check(model, A, b, probes=[("power", 0)]) <= 1e-12
-    with pytest.raises(ValueError, match="outside admissible range"):
-        moment_match_check(model, A, b, probes=[("power", 2)])
-    with pytest.raises(ValueError, match="not admissible"):
-        moment_match_check(model, A, b, probes=[("resolvent", 5.0, 1)])
-    with pytest.raises(ValueError, match="not admissible"):
-        moment_match_check(model, A, b, probes=[("resolvent", 3.0, 2)])
-    with pytest.raises(ValueError, match="unknown probe"):
-        moment_match_check(model, A, b, probes=[("moment", 0)])
     with pytest.raises(ValueError, match="needs d and dhat"):
         moment_match_check(model, A, b, kind="bilinear")
     with pytest.raises(ValueError, match="kind"):
@@ -339,8 +337,7 @@ def test_arnoldi_bound_covers_true_error_two_sided():
     V, kept = build_krylov_basis(A, b, spec, side="two", d=d)
     assert len(kept) == spec.total("two")
     model = reduce(A, b, V, d=d, spec=spec, side="two")
-    fac = EigenFactorization(S, ev)
-    exact = scalar_impulse_exact(fac, b, d, 1.0)
+    exact = complex(d.conj() @ (taylor_expm(A) @ b))
     e0 = abs(exact - impulse_reduced(model, 1.0))
     e1 = arnoldi_error_bound(model, A, b, d=d, t=1.0).value
     assert e0 <= e1 * 1.05
