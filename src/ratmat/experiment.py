@@ -44,10 +44,15 @@ MAX_REDRAWS = 10
 
 # Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
 # so its output bits do not depend on the core count, and trials may run
-# concurrently instead.  At and above it numpy's BLAS runs on one thread,
-# scipy's (the LU of S and the grid product) keeps its own threads, and trials
-# run one after another.  README.md has the measurements behind the value.
+# concurrently instead.  At and above it numpy's BLAS runs on one thread and
+# scipy's (the LU of S and the grid product) keeps its own threads, unless
+# RATMAT_THREADS runs more than one trial at a time, which pins each trial to
+# one thread as below.  README.md has the measurements behind the value.
 PIN_BELOW_N = 640
+
+# Real numbers per block of rows in the draw of S (256 KB, one block up to
+# n = 181).
+DRAW_BLOCK = 1 << 15
 
 _INT_KEYS = ("n", "trials", "boundary_nodes", "mu_samples", "s_samples", "seed")
 _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
@@ -213,11 +218,24 @@ def trial_threads(n: int):
 
 
 def draw_eigenvectors(rng, n: int) -> np.ndarray:
-    """S with real and imaginary parts uniform in [-1, 1], drawn in that
-    order into one complex array."""
+    """S with real and imaginary parts uniform in [-1, 1]: all real parts,
+    then all imaginary parts, each in row-major order.
+
+    The parts are drawn a block of rows at a time into one small buffer and
+    written straight into S, with the bits and the final generator state of
+    two n x n rng.uniform(-1, 1) draws: 2u is exact, so -1 + 2u rounds once
+    either way.
+    """
     S = np.empty((n, n), dtype=np.complex128)
-    S.real = rng.uniform(-1.0, 1.0, (n, n))
-    S.imag = rng.uniform(-1.0, 1.0, (n, n))
+    rows = max(1, DRAW_BLOCK // n)
+    buf = np.empty((min(rows, n), n))
+    for part in (S.real, S.imag):
+        for i in range(0, n, rows):
+            block = buf[:min(rows, n - i)]
+            rng.random(out=block)
+            block *= 2.0
+            block -= 1.0
+            part[i:i + rows] = block
     return S
 
 
@@ -304,11 +322,11 @@ def _requested_workers() -> int:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all trials, write trials.csv / figure.csv / summary.json.
 
-    Below PIN_BELOW_N every trial runs on one BLAS thread, and trials run
-    concurrently when RATMAT_THREADS is set above 1.  At and above it trials
-    run one after another, with numpy's BLAS on one thread and scipy's on its
-    own threads.  Each trial owns an independent RNG stream, so results do
-    not depend on scheduling.
+    min(RATMAT_THREADS, trials) trials run at a time.  When that is more
+    than one, or below PIN_BELOW_N, every trial runs on one BLAS thread.
+    Otherwise, from PIN_BELOW_N up, trials run one after another with
+    numpy's BLAS on one thread and scipy's on its own threads.  Each trial
+    owns an independent RNG stream, so results do not depend on scheduling.
     """
     t_start = time.perf_counter()
     requested = _requested_workers()
@@ -322,9 +340,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
             model, nu = None, None  # only trial 0 feeds the figure data
         return record, model, nu
 
-    pinned = config.n < PIN_BELOW_N
-    workers = min(requested, config.trials) if pinned else 1
-    with trial_threads(config.n):
+    workers = min(requested, config.trials)
+    pinned = config.n < PIN_BELOW_N or workers > 1
+    with blas_threads() if pinned else numpy_blas_serial():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(one, range(config.trials)))

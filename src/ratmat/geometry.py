@@ -54,7 +54,9 @@ def hull_boundary_samples(vertices, count: int) -> np.ndarray:
     All vertices are included; the remaining points are distributed over the
     edges proportionally to edge length (largest-remainder rounding) and
     spaced uniformly within each edge.  Degenerate hulls: a single point just
-    returns that point; a segment is traversed once end to end.
+    returns that point; a segment is traversed once end to end.  The output
+    is allocated before anything else, so a count too large for memory
+    fails there.
     """
     verts = as_vector(vertices, "vertices")
     m = verts.size
@@ -68,12 +70,14 @@ def hull_boundary_samples(vertices, count: int) -> np.ndarray:
         t = np.linspace(0.0, 1.0, count)
         return verts[0] + t * (verts[1] - verts[0])
 
+    out = np.empty(count, dtype=np.complex128)
     closed = np.append(verts, verts[0])
     seg = np.diff(closed)
     lengths = np.abs(seg)
     total = lengths.sum()
     if total == 0.0:
-        return np.full(count, verts[0])
+        out[:] = verts[0]
+        return out
 
     extra = count - m
     quota = extra * lengths / total
@@ -83,11 +87,11 @@ def hull_boundary_samples(vertices, count: int) -> np.ndarray:
         order = np.argsort(quota - alloc)[::-1]
         alloc[order[:short]] += 1
 
-    out: list[complex] = []
-    for i in range(m):
-        out.append(closed[i])
-        k = alloc[i]
-        for j in range(1, k + 1):
-            out.append(closed[i] + seg[i] * (j / (k + 1)))
-    return np.array(out)
+    # each vertex, then its edge's k interior points at fractions j / (k + 1)
+    start = 0
+    for i, k in enumerate(alloc):
+        out[start] = closed[i]
+        out[start + 1:start + k + 1] = closed[i] + seg[i] * (np.arange(1, k + 1) / (k + 1))
+        start += k + 1
+    return out
 

@@ -37,6 +37,10 @@ BACKWARD_TOL = 1e-10
 # its original norm.
 DEP_TOL = 1e-10
 
+# Entries of S per block of rows copied into its column-major LU buffer
+# (512 KB): a block's cache lines stay in L2 while its columns are written.
+COPY_BLOCK = 1 << 15
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert ``a`` to a 2-D complex128 array, copied only if needed."""
@@ -120,12 +124,26 @@ def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
 
 
+def _column_major(S: np.ndarray) -> np.ndarray:
+    """A column-major copy of the row-major S, made a block of rows at a
+    time; the one-pass transposing copy that numpy or f2py would make
+    walks all of S a column at a time and loses its cache lines, worst at a
+    power-of-two order (CHANGES.md has the timings)."""
+    n = S.shape[0]
+    out = np.empty(S.shape, dtype=S.dtype, order="F")
+    rows = max(1, COPY_BLOCK // n)
+    for i in range(0, n, rows):
+        out[i:i + rows] = S[i:i + rows]
+    return out
+
+
 @dataclass
 class EigenFactorization:
     """Eigen decomposition A = S diag(eigenvalues) S^-1, with S held as its LU.
 
     S is held as given, not copied, when it is C-contiguous complex128, so
-    its owner must leave it unchanged.  S^-1 is never formed: ``solve`` and
+    its owner must leave it unchanged; zgetrf factors a column-major copy in
+    place.  S^-1 is never formed: ``solve`` and
     ``solve_adjoint`` apply S^-1 and S^-H through the LU factors and check
     the backward error of what they return.  ``cond_estimate`` is LAPACK's
     one-norm condition estimate of S (zgecon; N. J. Higham, ACM TOMS 14,
@@ -141,14 +159,21 @@ class EigenFactorization:
     cond_estimate: float = field(init=False)
 
     def __post_init__(self):
-        self.S = as_square_matrix(self.S, "S")
+        S = np.asarray(self.S, dtype=np.complex128, order="C")
+        self.norm1 = _norm1(S) if S.ndim == 2 else np.nan
+        # a NaN or inf entry makes its column sum, and so the norm, non-finite;
+        # only then (or for a misshapen S) does the entrywise check run, for its
+        # message, and a finite S whose norm overflows passes it
+        if not np.isfinite(self.norm1) or S.shape[0] != S.shape[1]:
+            S = as_square_matrix(S, "S")
+        self.S = S
         self.eigenvalues = as_vector(self.eigenvalues, "eigenvalues")
-        if self.S.shape[0] == 0:
+        if S.shape[0] == 0:
             raise ValueError("S is empty")
-        if self.eigenvalues.size != self.S.shape[0]:
+        if self.eigenvalues.size != S.shape[0]:
             raise ValueError("eigenvalue count does not match S")
-        self.norm1 = _norm1(self.S)
-        lu, piv, info = lapack.zgetrf(self.S)
+        # a column-major S goes to LAPACK as it is, so f2py makes no copy
+        lu, piv, info = lapack.zgetrf(_column_major(S), overwrite_a=1)
         rcond = lapack.zgecon(lu, self.norm1)[0] if info == 0 else 0.0
         self.lu = (lu, piv)
         self.cond_estimate = 1.0 / rcond if rcond > 0 else np.inf

@@ -300,16 +300,15 @@ def moment_match_check(model: ReducedModel, A, b, d=None,
     b = as_vector(b)
     spec = model.spec
     two = kind == "bilinear"
-    # each probe, A^j b or (lam I - A)^-j b, is the last vector of its
-    # Krylov chain, on either side
-    chains = [(j + 1, ()) for j in range(spec.kappa0 + (spec.chi0 if two else 0))]
-    chains += [(0, ((p.lam, j),)) for p in spec.poles
-               for j in range(1, p.kappa + (p.chi if two else 0) + 1)]
-
+    # the probes A^j b (j < kappa0) and (lam I - A)^-j b (j <= kappa) are the
+    # Krylov vectors of one chain in listing order, b itself first when
+    # kappa0 > 0; one chain per side costs one solve with S and one product
+    # of S with its vectors
+    chain = (spec.kappa0 + (spec.chi0 if two else 0),
+             [(p.lam, p.kappa + (p.chi if two else 0)) for p in spec.poles], False)
     worst = 0.0
-    for chain in chains:
-        big = _krylov_vectors(fac, b, *chain, False)[-1]
-        small = _krylov_vectors(reduced, model.bhat, *chain, False)[-1]
+    for big, small in zip(_krylov_vectors(fac, b, *chain),
+                          _krylov_vectors(reduced, model.bhat, *chain), strict=True):
         if kind == "vector":
             lhs = big
             rhs = model.V @ small

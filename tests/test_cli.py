@@ -387,6 +387,16 @@ def test_bound_out_of_range_mu_samples_exits_cleanly(tmp_path, capsys):
         assert err.startswith("error: ") and named in err
 
 
+def test_bound_huge_mu_samples_fails_at_one_allocation(tmp_path, capsys):
+    # 2**60 is inside numpy's index range, so only the allocation of the
+    # samples refuses it ("array is too big"), before any is computed
+    args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
+                       [1.0] * 4, {"kappa0": 3}, extra=[f"--mu-samples={2 ** 60}"])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too big" in err
+
+
 def test_run_command_small(tmp_path, capsys):
     cfg = _dump(tmp_path, "cfg.json", {
         "n": 16, "trials": 2, "seed": 9, "outdir": str(tmp_path / "out"),

@@ -292,15 +292,41 @@ def test_run_experiment_n128_independent_of_workers(tmp_path, monkeypatch):
 
 
 def test_run_experiment_serial_unpinned_at_crossover(tmp_path, monkeypatch):
+    # one worker, by default or because a single trial runs, stays serial
+    # and unpinned from PIN_BELOW_N up, whatever RATMAT_THREADS says
     monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
-    monkeypatch.setenv("RATMAT_THREADS", "2")
-    config = ExperimentConfig(n=16, trials=3, seed=2,
-                              outdir=str(tmp_path / "out"))
-    diagnostics = run_experiment(config)["diagnostics"]
-    assert diagnostics["workers"] == 1
-    assert diagnostics["blas_threads"] is None
-    stored = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert stored["diagnostics"] == diagnostics
+    for threads, trials in ((None, 3), ("2", 1)):
+        if threads is None:
+            monkeypatch.delenv("RATMAT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("RATMAT_THREADS", threads)
+        outdir = tmp_path / f"out{trials}"
+        config = ExperimentConfig(n=16, trials=trials, seed=2, outdir=str(outdir))
+        diagnostics = run_experiment(config)["diagnostics"]
+        assert diagnostics["workers"] == 1
+        assert diagnostics["blas_threads"] is None
+        stored = json.loads((outdir / "summary.json").read_text())
+        assert stored["diagnostics"] == diagnostics
+
+
+def test_run_experiment_pins_concurrent_trials_from_pin_up(tmp_path, monkeypatch):
+    """At n = 640 two trials at a time run pinned to one thread on every
+    build, so RATMAT_THREADS = 2 and 3 (both two workers for two trials)
+    write the same bytes."""
+    seen = _record_threads(monkeypatch, 640)
+    outputs = []
+    for threads in ("2", "3"):
+        monkeypatch.setenv("RATMAT_THREADS", threads)
+        outdir = tmp_path / threads
+        config = ExperimentConfig(n=640, trials=2, seed=3, outdir=str(outdir))
+        diagnostics = run_experiment(config)["diagnostics"]
+        assert diagnostics["workers"] == 2
+        assert diagnostics["blas_threads"] == 1
+        outputs.append(((outdir / "trials.csv").read_bytes(),
+                        (outdir / "figure.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert {name for name, _ in seen} == {"zgetrf", "times"}
+    assert all(set(counts.values()) <= {1} for _, counts in seen)
 
 
 def _record_threads(monkeypatch, n):
@@ -361,6 +387,20 @@ def test_draw_eigenvectors_matches_summed_draw():
     ref = draw_eigenvectors_summed(np.random.default_rng([1, 0]), n)
     assert S.dtype == np.complex128 and S.flags.c_contiguous
     assert np.array_equal(S, ref)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128, 1000, 1024])
+def test_draw_eigenvectors_is_the_two_uniform_draw(n):
+    """Bit for bit the parts of two whole n x n uniform draws, and the
+    generator ends where those draws leave it."""
+    rng, ref_rng = np.random.default_rng([2, n]), np.random.default_rng([2, n])
+    S = draw_eigenvectors(rng, n)
+    ref = np.empty((n, n), dtype=np.complex128)
+    ref.real = ref_rng.uniform(-1.0, 1.0, (n, n))
+    ref.imag = ref_rng.uniform(-1.0, 1.0, (n, n))
+    assert S.tobytes() == ref.tobytes()
+    assert np.array_equal(rng.random(5), ref_rng.random(5))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-3"])

@@ -95,6 +95,25 @@ def test_boundary_samples_lie_in_hull(nodes, extra):
         assert polygon_contains(hull, z, slack=slack)
 
 
+def test_boundary_samples_are_vertices_and_edge_fractions():
+    """Bit for bit, each edge contributes its vertex v_i, then the points
+    v_i + (v_(i+1) - v_i) (j / (k + 1)), j = 1..k, in scalar arithmetic."""
+    rng = np.random.default_rng(61)
+    for size in (3, 5, 9, 30):
+        hull = convex_hull(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        closed = np.append(hull, hull[0])
+        for extra in (0, 1, 7, 50, 200):
+            out = hull_boundary_samples(hull, hull.size + extra)
+            starts = [int(np.flatnonzero(out == v)[0]) for v in hull] + [out.size]
+            assert starts[0] == 0 and starts == sorted(starts)
+            for i in range(hull.size):
+                k = starts[i + 1] - starts[i] - 1
+                step = closed[i + 1] - closed[i]
+                expect = [closed[i]] + [closed[i] + step * (j / (k + 1))
+                                        for j in range(1, k + 1)]
+                assert np.array(expect).tobytes() == out[starts[i]:starts[i + 1]].tobytes()
+
+
 def test_boundary_samples_count_too_small():
     square = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
     with pytest.raises(ValueError, match="below the vertex count"):

@@ -375,6 +375,67 @@ def test_eigen_factorization_holds_S_without_copy():
         EigenFactorization(S, np.arange(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                 complex(np.nan, 1.0)])
+def test_eigen_factorization_refuses_non_finite_S(bad):
+    rng = np.random.default_rng(7)
+    S = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    S[299, 0] = bad
+    with pytest.raises(ValueError, match="S contains non-finite entries"):
+        EigenFactorization(S, np.arange(300))
+
+
+def test_eigen_factorization_accepts_finite_S_whose_norm_overflows():
+    S = np.diag([1e308, 1e308, 1.0]).astype(np.complex128)
+    S[1, 0] = 1e308  # column 0 sums past the float range
+    with np.errstate(over="ignore"):
+        fac = EigenFactorization(S, np.arange(3))
+    assert fac.S is S and fac.norm1 == np.inf
+
+
+def _strided(S):
+    big = np.zeros((2 * S.shape[0], 3 * S.shape[1]), dtype=np.complex128)
+    big[::2, ::3] = S
+    return big[::2, ::3]
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray, _strided])
+@pytest.mark.parametrize("n", [1, 5, 181, 300])
+def test_eigen_factorization_lu_is_zgetrf_of_S(layout, n):
+    """The LU of the block-copied column-major S is bit for bit zgetrf's of
+    S itself, whatever S's layout (300 takes three blocks of rows)."""
+    rng = np.random.default_rng(n)
+    S = layout(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    fac = EigenFactorization(S, np.arange(n))
+    lu, piv, info = scipy.linalg.lapack.zgetrf(S)
+    assert info == 0
+    assert np.array_equal(fac.lu[0], lu) and np.array_equal(fac.lu[1], piv)
+    assert np.array_equal(fac.S, S)
+
+
+def test_eigen_factorization_hands_zgetrf_a_column_major_buffer(monkeypatch):
+    """zgetrf gets a Fortran-ordered copy of S and factors it in place, so
+    f2py makes no copy of its own and S is left as it was."""
+    zgetrf = linalg.lapack.zgetrf
+    calls = []
+
+    def guarded(a, *args, **kwargs):
+        assert a.flags.f_contiguous and a.dtype == np.complex128
+        lu, piv, info = zgetrf(a, *args, **kwargs)
+        assert np.shares_memory(lu, a)
+        calls.append(lu)
+        return lu, piv, info
+
+    monkeypatch.setattr(linalg.lapack, "zgetrf", guarded)
+    rng = np.random.default_rng(8)
+    S = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    before = S.copy()
+    fac = EigenFactorization(S, np.arange(300))
+    assert len(calls) == 1 and fac.lu[0] is calls[0]
+    assert fac.S is S and np.array_equal(S, before)
+    assert not np.shares_memory(fac.lu[0], S)
+
+
 def test_blas_threads_nested_restores_once():
     before = _openblas_counts()
     with blas_threads():
