@@ -14,6 +14,7 @@ uniform grid; both grid sizes are part of the query and the result.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import factorial
 
@@ -83,7 +84,17 @@ class BoundQuery:
         self.weights = self.omega(ev) / v_at_ev
 
         self.hull = convex_hull(nodes.nodes)
-        self.mu_points = hull_boundary_samples(self.hull, max(mu_samples, self.hull.size))
+        n_mu = max(mu_samples, self.hull.size)
+        # the mu points, C, X, the grid product Y and the values, in bytes
+        K, n = v.degree + 1, self.fac.order
+        need = (16 * (n_mu + s_samples * n_mu * K + 2 * s_samples * K * n)
+                + 8 * s_samples * n_mu)
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(f"the {s_samples} x {n_mu} grid is too big: its tables need "
+                             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                             "of physical memory")
+        self.mu_points = hull_boundary_samples(self.hull, n_mu)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
         self._tables_cache = None
 
@@ -143,22 +154,25 @@ def bound_vector(q: BoundQuery, b, *, c=None) -> BoundResult:
     solved here unless the caller passes it.
 
     One product with S covers the whole grid: its n_s (deg v + 1) columns
-    are the folded X; each s then combines them with its C.  That GEMM is
-    the one O(n^2 n_s deg v) step, so it runs in scipy's BLAS, next to the LU
-    of S (see linalg.numpy_blas_serial).
+    are the folded X, and the block Y_j of deg v + 1 of them that belongs to
+    s_j maps C[j, m] to the core vector at (s_j, mu_m).  That GEMM is the one
+    O(n^2 n_s deg v) step, so it runs in scipy's BLAS, next to the LU of S
+    (see linalg.numpy_blas_serial).  The norms then come from the Gram
+    matrices G_j = Y_j^H Y_j as ||Y_j C[j, m]||^2 = C[j, m]^H G_j C[j, m], so
+    a mu sample costs O(deg^2 v) and nothing in n.
     """
     b = as_vector(b)
     C, X = q._tables()
     Xc = X * q._fold(q.fac.solve(b) if c is None else c)
     n_s, n_k, n = X.shape
-    Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
-    R = Y.transpose(1, 0, 2) @ C.transpose(0, 2, 1)
-    # 2-norms over the eigenvalue axis; np.linalg.norm's complex temporaries
-    # cost more than the GEMM at n = 128
-    with np.errstate(over="ignore"):  # an overflowed norm is refused below
-        sq = (np.einsum("jim,jim->jm", R.real, R.real)
-              + np.einsum("jim,jim->jm", R.imag, R.imag))
-        return q._result(np.sqrt(sq))
+    Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k).transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+        G = Y.conj().transpose(0, 2, 1) @ Y
+        GC = C @ G.transpose(0, 2, 1)  # GC[j, m] = G_j C[j, m]
+        sq = (np.einsum("jmk,jmk->jm", C.real, GC.real)
+              + np.einsum("jmk,jmk->jm", C.imag, GC.imag))
+    # rounding can take a zero norm below 0; NaN passes np.maximum to _result
+    return q._result(np.sqrt(np.maximum(sq, 0.0)))
 
 
 def bound_bilinear(q: BoundQuery, b, d, *, c=None) -> BoundResult:

@@ -386,6 +386,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "openblas_libraries": len(blas_thread_counts()),
             "cond_S": [rec.cond_S for rec in records],
             "redraws": [rec.redraws for rec in records],
+            "e1_argmax_edge": [{0.0: "s=0", 1.0: "s=1"}.get(rec.argmax_s)
+                               for rec in records],
         },
     }
     with open(outdir / "summary.json", "w") as fh:

@@ -178,12 +178,15 @@ class VExpDerivative:
         """Taylor coefficients of w at a: T[..., k] with w(a + x) = sum T_k x^k.
 
         Repeated synthetic division by (x - a), O(deg^2) per point; the
-        result has shape shape(a) + (deg w + 1,).
+        result has shape shape(a) + (deg w + 1,).  The division runs
+        coefficient-major, so each step sweeps contiguous memory; the result
+        is copied back to point-major order, the layout the grid's products
+        take their bits from.
         """
         a = np.asarray(a, dtype=np.complex128)
-        T = np.empty(a.shape + self.w.shape, dtype=np.complex128)
-        T[...] = self.w
+        T = np.empty(self.w.shape + a.shape, dtype=np.complex128)
+        T[...] = self.w.reshape(self.w.shape + (1,) * a.ndim)
         for i in range(self.w.size - 1):
             for j in range(self.w.size - 2, i - 1, -1):
-                T[..., j] += a * T[..., j + 1]
-        return T
+                T[j] += a * T[j + 1]
+        return np.ascontiguousarray(np.moveaxis(T, 0, -1))

@@ -6,10 +6,11 @@ from difference stencils, p(A) and r(A) b from the matrix A itself by
 products and shifted LU solves, with u/v and Omega/v split into partial
 fractions here (by polynomial and quotient jets of this module), and the
 bound's (s, mu) grid from the jet at every point instead of the library's
-factored tables.  Agreement between library and oracle is then a two-route
-check instead of a tautology.  The numerical-range box and its polygon
-helpers live here too: only the tests use them, to check where the reduced
-spectrum lies.
+factored tables, or from the factored tables with every core vector formed
+instead of the library's Gram matrices.  Agreement between library and
+oracle is then a two-route check instead of a tautology.  The
+numerical-range box and its polygon helpers live here too: only the tests
+use them, to check where the reduced spectrum lies.
 """
 
 from dataclasses import dataclass
@@ -305,6 +306,38 @@ def bound_grid_pointwise(q: BoundQuery, b, d=None) -> BoundResult:
     return BoundResult(value=float(values[g]), argmax_s=float(s[g]),
                        argmax_mu=complex(mu[g]), n_s=q.s_grid.size,
                        n_mu=q.mu_points.size)
+
+
+def bound_vector_tensor(q: BoundQuery, b) -> np.ndarray:
+    """The grid of e1 values from the factored tables, every core vector
+    formed; ``q._result`` of it is e1 as ``bound_vector`` gave it before
+    its Gram form.
+
+    The tensor R[j, :, m] = Y_j C[j, m] of all n_s n n_mu core vectors is
+    built from the grid GEMM Y and C, and its 2-norms are summed over the
+    eigenvalue axis.
+    """
+    C, X = q._tables()
+    Xc = X * q._fold(q.fac.solve(as_vector(b)))
+    n_s, n_k, n = X.shape
+    Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k)
+    R = Y.transpose(1, 0, 2) @ C.transpose(0, 2, 1)
+    with np.errstate(over="ignore"):  # an overflowed norm is refused by _result
+        return np.sqrt(np.einsum("jim,jim->jm", R.real, R.real)
+                       + np.einsum("jim,jim->jm", R.imag, R.imag))
+
+
+def taylor_row_major(w, a) -> np.ndarray:
+    """Taylor coefficients of the polynomial w at a, T[..., k], by repeated
+    synthetic division over the last axis: the point-major loop that
+    ``VExpDerivative.taylor`` ran before it went coefficient-major."""
+    a = np.asarray(a, dtype=np.complex128)
+    T = np.empty(a.shape + w.shape, dtype=np.complex128)
+    T[...] = w
+    for i in range(w.size - 1):
+        for j in range(w.size - 2, i - 1, -1):
+            T[..., j] += a * T[..., j + 1]
+    return T
 
 
 def eig_extreme_hermitian(A):

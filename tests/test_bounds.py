@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     FunctionJet,
     bound_core_matrix,
     bound_grid_pointwise,
+    bound_vector_tensor,
     numerical_range_box,
     polygon_contains,
     random_diagonalizable,
@@ -312,6 +316,79 @@ def test_factored_grid_matches_pointwise_oracle(case, grid):
         assert abs(got.value - want.value) <= 1e-12 * want.value
         assert (got.argmax_s, got.argmax_mu) == (want.argmax_s, want.argmax_mu)
         assert (got.n_s, got.n_mu) == (want.n_s, want.n_mu)
+
+
+def _tensor_reference(q, b):
+    """e1 from the R-tensor oracle, and the largest grid value below it."""
+    values = bound_vector_tensor(q, b)
+    runner_up = np.partition(values.ravel(), -2)[-2] if values.size > 1 else -np.inf
+    return q._result(values), runner_up
+
+
+@pytest.mark.parametrize("grid", [(2, 1), (11, 50), (17, 73)])
+@pytest.mark.parametrize("case", ["xp-run-n128", "two-sided-double-pole",
+                                  "constant-v", "wide-spectrum-t2"])
+def test_gram_form_matches_tensor_oracle(case, grid):
+    """The Gram matrices give the value and argmax of the n_s n n_mu tensor
+    of core vectors."""
+    fac, b, _, nodes, v, t = _factored_case(case)
+    q = BoundQuery(fac, nodes, v, t=t, s_samples=grid[0], mu_samples=grid[1])
+    got = bound_vector(q, b)
+    want, _ = _tensor_reference(q, b)
+    assert want.value > 0.0
+    assert abs(got.value - want.value) <= 1e-13 * want.value
+    assert (got.argmax_s, got.argmax_mu) == (want.argmax_s, want.argmax_mu)
+    assert (got.n_s, got.n_mu) == (want.n_s, want.n_mu)
+
+
+_OFF_SPECTRUM_POLE = st.builds(complex, st.floats(-4.0, -1.5), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
+       poles=st.lists(st.tuples(_OFF_SPECTRUM_POLE, st.integers(1, 2), st.integers(0, 2)),
+                      max_size=3, unique_by=lambda p: p[0]),
+       two_sided=st.booleans(), grid=st.sampled_from([(2, 1), (11, 50), (5, 17)]))
+def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
+                                                        two_sided, grid):
+    """bound_vector against the R-tensor oracle on random reduced systems of
+    order up to 40, one- and two-sided."""
+    side = "two" if two_sided else "one"
+    spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
+                                  for lam, k, chi in poles), chi0=int(two_sided))
+    assume(spec.total(side) <= n)
+    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec, side=side)
+    q = BoundQuery(fac, nodes, v, s_samples=grid[0], mu_samples=grid[1])
+    got = bound_vector(q, b)
+    want, runner_up = _tensor_reference(q, b)
+    assert abs(got.value - want.value) <= 1e-13 * want.value
+    # rounding may swap two points closer than that
+    if runner_up < want.value * (1.0 - 1e-9):
+        assert (got.argmax_s, got.argmax_mu) == (want.argmax_s, want.argmax_mu)
+
+
+def test_gram_form_memory_has_no_n_times_mu_term():
+    """At n = 256 with 2,000 mu samples the tensor of core vectors alone
+    takes 11 * 256 * 2000 * 16 B = 90 MB; the Gram form's peak is bounded by
+    its tables, each of size n_s n_mu K or n_s K n."""
+    rng = np.random.default_rng(359)
+    n, n_mu = 256, 2000
+    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    fac = EigenFactorization(rng.uniform(-1.0, 1.0, (n, n))
+                             + 1j * rng.uniform(-1.0, 1.0, (n, n)), nu)
+    poles = derive_poles(ExperimentConfig(n=128, trials=1))
+    v = FactoredPoly(poles, np.ones(poles.size, dtype=int), 1.0)
+    nodes = NodeList(0.5 * (rng.uniform(-1.0, 0.0, 9) + 1j * rng.uniform(-np.pi, np.pi, 9)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q = BoundQuery(fac, nodes, v, mu_samples=n_mu)
+    n_s, K = q.s_grid.size, v.degree + 1
+    tracemalloc.start()
+    try:
+        bound_vector(q, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (4 * n_s * n_mu * K + 5 * n_s * K * n) + 2 ** 20
 
 
 @pytest.mark.parametrize("case", ["xp-run-n128", "two-sided-double-pole",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,13 +389,48 @@ def test_bound_out_of_range_mu_samples_exits_cleanly(tmp_path, capsys):
 
 
 def test_bound_huge_mu_samples_fails_at_one_allocation(tmp_path, capsys):
-    # 2**60 is inside numpy's index range, so only the allocation of the
-    # samples refuses it ("array is too big"), before any is computed
+    # 2**60 is inside numpy's index range; the memory check on the grid's
+    # tables refuses it ("grid is too big") before the samples are allocated
     args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
                        [1.0] * 4, {"kappa0": 3}, extra=[f"--mu-samples={2 ** 60}"])
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "too big" in err
+
+
+def test_grid_beyond_physical_memory_is_refused(tmp_path, capsys):
+    """10**9 mu samples: the 11 x 10**9 grid's tables would take most of a
+    TiB, so both commands print one error line before allocating them."""
+    spec = {"kappa0": 1, "poles": [{"lambda": [x, 0.0]} for x in (3.0, 4.0, 5.0)]}
+    bound = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
+                        [1.0] * 4, spec, extra=["--mu-samples=1000000000"])
+    run = ["run", "--config", _dump(tmp_path, "cfg.json", {
+        "n": 16, "trials": 2, "mu_samples": 10 ** 9, "outdir": str(tmp_path / "out")})]
+    for args in (bound, run):
+        tracemalloc.start()
+        try:
+            assert main(args) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the 11 x 1000000000 grid")
+        assert "GiB of physical memory" in lines[0]
+        assert peak < 2 ** 24
+    assert not (tmp_path / "out").exists()
+
+
+def test_twenty_thousand_mu_samples_are_accepted(tmp_path, capsys):
+    args = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
+                       [1.0] * 4, {"kappa0": 3}, extra=["--mu-samples=20000"])
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == {"s": 11, "mu": 20000}
+    cfg = _dump(tmp_path, "cfg.json", {"n": 16, "trials": 1, "mu_samples": 20000,
+                                       "outdir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["mu_samples"] == 20000
 
 
 def test_run_command_small(tmp_path, capsys):

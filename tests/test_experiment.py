@@ -225,6 +225,21 @@ def test_run_experiment_outputs(tmp_path):
     assert counts["mu_sample"] >= 50
 
 
+def test_summary_names_the_e1_argmax_edge(tmp_path):
+    """Per trial, "s=0" or "s=1" when the e1 argmax sits on that edge of the
+    s grid and null inside it; the CSVs do not carry it."""
+    config = ExperimentConfig(n=16, trials=3, seed=0, outdir=str(tmp_path / "out"))
+    summary = run_experiment(config)
+    rows = _read_rows(tmp_path / "out" / "trials.csv")
+    assert [float(r["argmax_s"]) for r in rows][:2] == [0.0, 1.0]
+    assert 0.0 < float(rows[2]["argmax_s"]) < 1.0
+    assert summary["diagnostics"]["e1_argmax_edge"] == ["s=0", "s=1", None]
+    stored = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert stored["diagnostics"]["e1_argmax_edge"] == ["s=0", "s=1", None]
+    assert list(rows[0]) == ["trial", "e0", "e1", "ratio", "argmax_s",
+                             "argmax_mu_re", "argmax_mu_im"]
+
+
 def test_run_experiment_byte_identical_reruns(tmp_path, monkeypatch):
     def go(sub, threads=None):
         if threads is None:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import FunctionJet, PolyJet, central_difference, jet_divide, restrict
+from oracles import (
+    FunctionJet,
+    PolyJet,
+    central_difference,
+    jet_divide,
+    restrict,
+    taylor_row_major,
+)
 from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative, jet_product
 
 
@@ -119,3 +126,17 @@ def test_taylor_shift_example():
     jet = VExpDerivative(FactoredPoly((), (), 1.0), 1.0, 0)
     jet.w = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
     assert np.array_equal(jet.taylor(1.0), [6.0, 8.0, 3.0])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (11, 50)])
+def test_taylor_coefficient_major_keeps_the_bits(shape):
+    """The coefficient-major division gives the row-major loop's bits, in
+    the same shape shape(a) + (deg w + 1,) and the same point-major layout:
+    the bilinear grid's matmul takes other bits from a strided table."""
+    rng = np.random.default_rng(71)
+    v = FactoredPoly(rng.standard_normal(8) + 1j * rng.standard_normal(8), [1] * 8, 0.3)
+    jet = VExpDerivative(v, 1.0, 9)
+    a = 3.0 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    got = jet.taylor(a)
+    assert got.shape == shape + (9,) and got.flags.c_contiguous
+    assert np.array_equal(got, taylor_row_major(jet.w, a))
