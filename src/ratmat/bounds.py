@@ -46,6 +46,13 @@ class BoundResult:
         }
 
 
+def mu_grid(points, count: int):
+    """e1's mu samples: the convex hull of the points, and max(count, its
+    vertex count) samples on its boundary, every vertex among them."""
+    hull = convex_hull(points)
+    return hull, hull_boundary_samples(hull, max(count, hull.size))
+
+
 class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
@@ -83,18 +90,19 @@ class BoundQuery:
             raise ValueError("denominator vanishes at an interpolation node")
         self.weights = self.omega(ev) / v_at_ev
 
-        self.hull = convex_hull(nodes.nodes)
-        n_mu = max(mu_samples, self.hull.size)
-        # the mu points, C, X, the grid product Y and the values, in bytes
+        # the peak of the grid's evaluation in bytes: the mu points (the hull's
+        # vertices are distinct nodes, so n_mu bounds mu_grid's count), three
+        # n_s n_mu arrays (a, e^(ta), a temporary), two n_s n_mu K (C and the
+        # Taylor array, or C and G C) and three n_s K n (X, Y and conj(Y))
+        n_mu = max(mu_samples, nodes.reps.size)
         K, n = v.degree + 1, self.fac.order
-        need = (16 * (n_mu + s_samples * n_mu * K + 2 * s_samples * K * n)
-                + 8 * s_samples * n_mu)
+        self.grid_bytes = 16 * (n_mu + s_samples * (n_mu * (3 + 2 * K) + 3 * K * n))
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
+        if self.grid_bytes > have:
             raise ValueError(f"the {s_samples} x {n_mu} grid is too big: its tables need "
-                             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
-                             "of physical memory")
-        self.mu_points = hull_boundary_samples(self.hull, n_mu)
+                             f"{self.grid_bytes / 2**30:.3g} GiB, more than the "
+                             f"{have / 2**30:.3g} GiB of physical memory")
+        _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
         self._tables_cache = None
 
@@ -166,11 +174,15 @@ def bound_vector(q: BoundQuery, b, *, c=None) -> BoundResult:
     Xc = X * q._fold(q.fac.solve(b) if c is None else c)
     n_s, n_k, n = X.shape
     Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k).transpose(1, 0, 2)
+    del Xc  # BoundQuery.grid_bytes counts it only until Y exists
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
         G = Y.conj().transpose(0, 2, 1) @ Y
         GC = C @ G.transpose(0, 2, 1)  # GC[j, m] = G_j C[j, m]
         sq = (np.einsum("jmk,jmk->jm", C.real, GC.real)
               + np.einsum("jmk,jmk->jm", C.imag, GC.imag))
+    # at s = 1, a = (1 - s) mu is 0 and the value does not depend on mu: one
+    # value for the row leaves an argmax there to _result's tie rule, not rounding
+    sq[-1] = sq[-1, 0]
     # rounding can take a zero norm below 0; NaN passes np.maximum to _result
     return q._result(np.sqrt(np.maximum(sq, 0.0)))
 

@@ -60,20 +60,21 @@ def bound_cmd(args) -> int:
         raise ValueError(f"--s-samples must be at least 2, got {args.s_samples}")
     if args.mu_samples < 1:
         raise ValueError(f"--mu-samples must be at least 1, got {args.mu_samples}")
+    if spec.is_two_sided and d is None:  # refused here too, before the b = 0 shortcut
+        raise ValueError("two-sided basis needs the output vector d")
 
     if np.linalg.norm(b) == 0.0:
         zero = BoundResult(0.0, 0.0, 0j, args.s_samples, args.mu_samples)
         print(json.dumps(zero.to_json()))
         return 0
 
-    side = "two" if d is not None else "one"
     # the BLAS threads follow the order as a trial's do, so the bits ignore
     # the cores; A is factorized and c = S^-1 b solved once for all three steps
     with trial_threads(A.shape[0]):
         fac = factorize(A)
         c = fac.solve(b)
-        V, _ = build_krylov_basis(fac, b, spec, side=side, d=d, c=c)
-        model = reduce(fac, b, V, d=d, spec=spec, side=side)
+        V, _ = build_krylov_basis(fac, b, spec, d=d, c=c)
+        model = reduce(fac, b, V, d=d, spec=spec)
         res = arnoldi_error_bound(model, fac, b, d=d, t=args.t,
                                   s_samples=args.s_samples,
                                   mu_samples=args.mu_samples, c=c)
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     p_bound = sub.add_parser("bound", help="error bound for a supplied system")
     p_bound.add_argument("--A", required=True, help="matrix JSON file")
     p_bound.add_argument("--b", required=True, help="input vector JSON file")
-    p_bound.add_argument("--d", help="output vector JSON file (two-sided)")
+    p_bound.add_argument("--d", help="output vector JSON file (a spec with chi needs it)")
     p_bound.add_argument("--poles", required=True, help="pole spec JSON file")
     p_bound.add_argument("--t", type=float, default=1.0, help="time parameter")
     p_bound.add_argument("--s-samples", type=int, default=11)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import convex_hull, hull_boundary_samples
+from .bounds import mu_grid
 from .interp import linearized_rational_fit
 from .linalg import (
     EigenFactorization,
@@ -54,7 +54,7 @@ PIN_BELOW_N = 640
 # n = 181).
 DRAW_BLOCK = 1 << 15
 
-_INT_KEYS = ("n", "trials", "boundary_nodes", "mu_samples", "s_samples", "seed")
+_INT_KEYS = ("n", "trials", "mu_samples", "s_samples", "seed")
 _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
 
 
@@ -90,7 +90,6 @@ class ExperimentConfig:
             "im_min": -np.pi, "im_max": np.pi,
         }
     )
-    boundary_nodes: int = 18
     fit_degree: tuple = (9, 8)
     mu_samples: int = 50
     s_samples: int = 11
@@ -102,12 +101,9 @@ class ExperimentConfig:
         L, M = self.fit_degree
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.boundary_nodes != L + M + 1:
-            raise ValueError(
-                f"boundary_nodes must equal L+M+1 = {L + M + 1} for a [{L}/{M}] fit"
-            )
-        if self.boundary_nodes % 2:
-            raise ValueError("boundary_nodes must be even (two rectangle edges)")
+        if (L + M) % 2 == 0:
+            raise ValueError(f"L + M must be odd for a [{L}/{M}] fit: its L + M + 1 "
+                             "nodes split evenly over two rectangle edges")
         r = self.rectangle
         if r["re_max"] <= r["re_min"] or r["im_max"] <= r["im_min"]:
             raise ValueError("degenerate rectangle")
@@ -152,7 +148,6 @@ class ExperimentConfig:
         return {
             "n": self.n, "trials": self.trials,
             "rectangle": dict(self.rectangle),
-            "boundary_nodes": self.boundary_nodes,
             "fit_degree": list(self.fit_degree),
             "mu_samples": self.mu_samples, "s_samples": self.s_samples,
             "t": self.t, "seed": self.seed, "outdir": self.outdir,
@@ -173,13 +168,13 @@ class TrialRecord:
 
 
 def boundary_fit_nodes(config: ExperimentConfig) -> np.ndarray:
-    """Fit nodes on the two vertical rectangle edges, half per edge.
+    """The L + M + 1 fit nodes, half on each vertical rectangle edge.
 
-    For the default rectangle and 18 nodes this reproduces the points
+    For the default rectangle and [9/8] fit this reproduces the 18 points
     0, +-i pi/4, +-i pi/2, +-i 3pi/4, +-i pi and their -1 translates.
     """
     r = config.rectangle
-    per_edge = config.boundary_nodes // 2
+    per_edge = (sum(config.fit_degree) + 1) // 2
     ims = np.linspace(r["im_min"], r["im_max"], per_edge)
     return np.concatenate([r["re_max"] + 1j * ims, r["re_min"] + 1j * ims])
 
@@ -262,7 +257,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
     c = fac.solve(b)
     V, _ = build_krylov_basis(fac, b, spec, c=c)
-    model = reduce(fac, b, V, spec=spec, side="one")
+    model = reduce(fac, b, V, spec=spec)
 
     exact = S @ (np.exp(config.t * nu) * c)
     approx = impulse_reduced(model, config.t, kind="vector")
@@ -295,10 +290,9 @@ def _figure_rows(config, poles, model, nu):
     rows += [("pole", z) for z in poles]
     rows += [("sigma_A", z) for z in nu]
     rows += [("sigma_Ahat", z) for z in model.reduced_spectrum]
-    hull = convex_hull(model.reduced_nodes.nodes)
+    hull, mu = mu_grid(model.reduced_nodes.nodes, config.mu_samples)
     rows += [("hull_vertex", z) for z in hull]
-    count = max(config.mu_samples, hull.size)
-    rows += [("mu_sample", z) for z in hull_boundary_samples(hull, count)]
+    rows += [("mu_sample", z) for z in mu]
     return rows
 
 

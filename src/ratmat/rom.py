@@ -68,30 +68,21 @@ class PoleSpec:
         lams = [p.lam for p in self.poles]
         if len(set(lams)) != len(lams):
             raise ValueError("finite poles must be distinct")
-        if self.total("two" if self.is_two_sided else "one") == 0:
+        if self.total() == 0:
             raise ValueError("empty pole specification")
 
     @property
     def is_two_sided(self) -> bool:
         return self.chi0 > 0 or any(p.chi > 0 for p in self.poles)
 
-    def total(self, side: str) -> int:
-        t = self.kappa0 + sum(p.kappa for p in self.poles)
-        if side == "two":
-            t += self.chi0 + sum(p.chi for p in self.poles)
-        return t
+    def total(self) -> int:
+        """Dimension of the space: every kappa and chi (all chi are 0 when one-sided)."""
+        return self.kappa0 + self.chi0 + sum(p.kappa + p.chi for p in self.poles)
 
-    def denominator(self, side: str) -> FactoredPoly:
-        """v = prod (lambda - lambda_k)^(kappa_k (+ chi_k)) over finite poles."""
-        roots, mults = [], []
-        for p in self.poles:
-            m = p.kappa + (p.chi if side == "two" else 0)
-            if m > 0:
-                roots.append(p.lam)
-                mults.append(m)
-        if not roots:
-            return FactoredPoly((), (), 1.0)
-        return FactoredPoly(roots, mults, 1.0)
+    def denominator(self) -> FactoredPoly:
+        """v = prod (lambda - lambda_k)^(kappa_k + chi_k) over finite poles."""
+        poles = [p for p in self.poles if p.kappa + p.chi > 0]
+        return FactoredPoly([p.lam for p in poles], [p.kappa + p.chi for p in poles], 1.0)
 
     def to_json(self) -> dict:
         out = {
@@ -192,27 +183,26 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=Non
     return vectors
 
 
-def build_krylov_basis(A, b, spec: PoleSpec, side: str = "one", d=None, *,
-                       c=None):
+def build_krylov_basis(A, b, spec: PoleSpec, d=None, *, c=None):
     """Orthonormal basis V of the rational Krylov space, with a kept report.
 
-    A is a matrix or an EigenFactorization; each vector costs O(n^2) in
-    eigen-coordinates, after one solve c = S^-1 b with the LU of S (a caller
-    that holds c passes it).  A spec of more vectors than the order of A is
-    refused before any is built.  Returns (V, kept): kept lists which
-    generated vectors survived the Gram-Schmidt filter, in generation order.
+    A spec with a chi is two-sided and needs d for its dual vectors (built
+    from A^H and d); d is unused otherwise.  A is a matrix or an
+    EigenFactorization; each vector costs O(n^2) in eigen-coordinates, after
+    one solve c = S^-1 b with the LU of S (a caller that holds c passes it).
+    A spec of more vectors than the order of A is refused before any is
+    built.  Returns (V, kept): kept lists which generated vectors survived
+    the Gram-Schmidt filter, in generation order.
     """
     fac = factorize(A)
     b = as_vector(b)
-    if side not in ("one", "two"):
-        raise ValueError("side must be 'one' or 'two'")
-    if side == "two" and d is None:
+    if spec.is_two_sided and d is None:
         raise ValueError("two-sided basis needs the output vector d")
-    if (total := spec.total(side)) > fac.order:
+    if (total := spec.total()) > fac.order:
         raise ValueError(f"{total} Krylov vectors exceed the order {fac.order} of A")
     raw = _krylov_vectors(fac, b, spec.kappa0,
                           [(p.lam, p.kappa) for p in spec.poles], False, c)
-    if side == "two":
+    if spec.is_two_sided:
         d = as_vector(d)
         raw += _krylov_vectors(fac, d, spec.chi0,
                                [(p.lam, p.chi) for p in spec.poles], True)
@@ -228,7 +218,6 @@ class ReducedModel:
     bhat: np.ndarray
     dhat: np.ndarray | None
     spec: PoleSpec | None = None
-    side: str = "one"
     reduced_fac: EigenFactorization = field(init=False)
     reduced_nodes: NodeList = field(init=False)
 
@@ -245,8 +234,7 @@ class ReducedModel:
         return self.reduced_fac.eigenvalues
 
 
-def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
-           side: str = "one") -> ReducedModel:
+def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
     """Project the system onto the span of the orthonormal columns of V.
 
     A is a matrix or an EigenFactorization; either way
@@ -263,7 +251,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None,
     Ahat = (fac.times(V, left=True) * fac.eigenvalues) @ fac.solve(V)
     bhat = V.conj().T @ b
     dhat = V.conj().T @ as_vector(d) if d is not None else None
-    return ReducedModel(V, Ahat, bhat, dhat, spec=spec, side=side)
+    return ReducedModel(V, Ahat, bhat, dhat, spec=spec)
 
 
 def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
@@ -279,27 +267,24 @@ def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
     raise ValueError("kind must be 'scalar' or 'vector'")
 
 
-def moment_match_check(model: ReducedModel, A, b, d=None,
-                       kind: str = "vector") -> float:
+def moment_match_check(model: ReducedModel, A, b, d=None) -> float:
     """Max relative mismatch of the moment-matching identities.
 
-    kind 'vector' checks r(A) b = V r(Ahat) bhat for every probe admissible
-    in the one-sided sense (powers j < kappa0, resolvent orders j <= kappa_k);
-    kind 'bilinear' checks d^H r(A) b = dhat^H r(Ahat) bhat with the combined
+    Without d, checks r(A) b = V r(Ahat) bhat for every probe admissible in
+    the one-sided sense (powers j < kappa0, resolvent orders j <= kappa_k);
+    with d, checks d^H r(A) b = dhat^H r(Ahat) bhat with the combined
     multiplicities kappa + chi.  A is a matrix or an EigenFactorization, as in
     build_krylov_basis; the reduced side runs through model.reduced_fac.
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")
-    if kind not in ("vector", "bilinear"):
-        raise ValueError("kind must be 'vector' or 'bilinear'")
-    if kind == "bilinear" and (d is None or model.dhat is None):
-        raise ValueError("bilinear check needs d and dhat")
+    two = d is not None
+    if two and model.dhat is None:
+        raise ValueError("bilinear check needs dhat: reduce the model with d")
     fac = factorize(A)
     reduced = factorize(model.reduced_fac)
     b = as_vector(b)
     spec = model.spec
-    two = kind == "bilinear"
     # the probes A^j b (j < kappa0) and (lam I - A)^-j b (j <= kappa) are the
     # Krylov vectors of one chain in listing order, b itself first when
     # kappa0 > 0; one chain per side costs one solve with S and one product
@@ -309,14 +294,14 @@ def moment_match_check(model: ReducedModel, A, b, d=None,
     worst = 0.0
     for big, small in zip(_krylov_vectors(fac, b, *chain),
                           _krylov_vectors(reduced, model.bhat, *chain), strict=True):
-        if kind == "vector":
-            lhs = big
-            rhs = model.V @ small
-            mismatch = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)
-        else:
+        if two:
             lhs = complex(as_vector(d).conj() @ big)
             rhs = complex(model.dhat.conj() @ small)
             mismatch = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        else:
+            lhs = big
+            rhs = model.V @ small
+            mismatch = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)
         worst = max(worst, float(mismatch))
     return worst
 
@@ -326,22 +311,24 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
                         c=None) -> BoundResult:
     """Certified bound on the reduction error of the impulse response.
 
-    One-sided: bounds ||e^(At) b - V e^(Ahat t) bhat||_2.  Two-sided (d
-    given): bounds |d^H e^(At) b - dhat^H e^(Ahat t) bhat|.  The nodes are
-    the reduced spectrum, the denominator collects the finite poles with
-    their multiplicities.  A is a matrix or an EigenFactorization (S^-1
-    applied through the LU of S); a caller that already holds the
-    factorization, or c = S^-1 b, passes it.
+    Without d: bounds ||e^(At) b - V e^(Ahat t) bhat||_2.  With d, which a
+    two-sided spec requires: bounds |d^H e^(At) b - dhat^H e^(Ahat t) bhat|.
+    The nodes are the reduced spectrum, the denominator collects the finite
+    poles with their multiplicities (see PoleSpec.denominator).  A is a
+    matrix or an EigenFactorization (S^-1 applied through the LU of S); a
+    caller that already holds the factorization, or c = S^-1 b, passes it.
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")
-    declared = model.spec.total(model.side)
+    if model.spec.is_two_sided and d is None:
+        raise ValueError("two-sided bound needs the output vector d")
+    declared = model.spec.total()
     if model.order != declared:
         raise ValueError(
             f"basis kept {model.order} of {declared} vectors; the bound "
             "requires the full declared multiplicities"
         )
-    v = model.spec.denominator(model.side)
+    v = model.spec.denominator()
     q = BoundQuery(A, model.reduced_nodes, v, t=t,
                    s_samples=s_samples, mu_samples=mu_samples)
     if d is not None:

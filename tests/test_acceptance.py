@@ -145,8 +145,7 @@ def _random_pole_spec(rng, allow_two_sided=True):
             chi = int(rng.integers(0, 2)) if two else 0
             poles.append(FinitePole(complex(lam), kappa, chi))
         spec = PoleSpec(kappa0, tuple(poles), chi0)
-        side = "two" if spec.is_two_sided else "one"
-        if 2 <= spec.total(side) <= 10:
+        if 2 <= spec.total() <= 10:
             return spec
 
 
@@ -161,14 +160,11 @@ def test_criterion_05_moment_matching(acceptance_report):
         b /= np.linalg.norm(b)
         d /= np.linalg.norm(d)
         spec = _random_pole_spec(rng)
-        side = "two" if spec.is_two_sided else "one"
-        V, kept = build_krylov_basis(A, b, spec, side=side,
-                                     d=d if side == "two" else None)
-        assert len(kept) == spec.total(side)
-        model = reduce(A, b, V, d=d, spec=spec, side=side)
+        V, kept = build_krylov_basis(A, b, spec, d=d)
+        assert len(kept) == spec.total()
+        model = reduce(A, b, V, d=d, spec=spec)
         worst_vec = max(worst_vec, moment_match_check(model, A, b))
-        worst_bil = max(worst_bil,
-                        moment_match_check(model, A, b, d=d, kind="bilinear"))
+        worst_bil = max(worst_bil, moment_match_check(model, A, b, d=d))
     acceptance_report(
         "05", "moment matching over admissible probes",
         worst_vec <= 1e-8 and worst_bil <= 1e-8,
@@ -225,10 +221,8 @@ def test_criterion_08_reduced_spectrum_containment(acceptance_report):
         A = random_gaussian_matrix(rng, 32)
         b = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         spec = _random_pole_spec(rng)
-        side = "two" if spec.is_two_sided else "one"
         d = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        V, _ = build_krylov_basis(A, b, spec, side=side,
-                                  d=d if side == "two" else None)
+        V, _ = build_krylov_basis(A, b, spec, d=d)
         model = reduce(A, b, V)
         box = numerical_range_box(A, angles)
         for z in model.reduced_spectrum:

@@ -249,7 +249,7 @@ def test_bound_vector_exp_route_matches_generic_jet():
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
     V, _ = build_krylov_basis(A, b, spec)
     model = reduce(A, b, V, spec=spec)
-    v = spec.denominator("one")
+    v = spec.denominator()
     N = len(model.reduced_nodes)
     generic_jet = ProductJet(v, FunctionJet([np.exp] * (N + 1)))
 
@@ -269,18 +269,17 @@ def test_bound_vector_exp_route_matches_generic_jet():
     assert (fast.argmax_s, fast.argmax_mu) == (generic.argmax_s, generic.argmax_mu)
 
 
-def _reduced_system(rng, n, spec, side="one", re_min=-1.0):
+def _reduced_system(rng, n, spec, re_min=-1.0):
     """Spectrum in [re_min, 0] x [-pi, pi], b and d, and the reduced
-    spectrum of the (one- or two-sided) reduction as nodes."""
+    spectrum of the spec's (one- or two-sided) reduction as nodes."""
     nu = rng.uniform(re_min, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
     S = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
     fac = EigenFactorization(S, nu)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    dual = d if side == "two" else None
-    V, _ = build_krylov_basis(fac, b, spec, side=side, d=dual)
-    model = reduce(fac, b, V, d=dual, spec=spec, side=side)
-    return fac, b, d, model.reduced_nodes, spec.denominator(side)
+    V, _ = build_krylov_basis(fac, b, spec, d=d)
+    model = reduce(fac, b, V, d=d, spec=spec)
+    return fac, b, d, model.reduced_nodes, spec.denominator()
 
 
 def _factored_case(name):
@@ -292,8 +291,8 @@ def _factored_case(name):
     if name == "two-sided-double-pole":
         spec = PoleSpec(1, (FinitePole(-2.0 + 1.0j, 1, 1), FinitePole(-3.0 - 2.0j, 1, 0)),
                         chi0=1)
-        assert spec.denominator("two").mults.tolist() == [2, 1]
-        return (*_reduced_system(rng, 40, spec, side="two"), 1.0)
+        assert spec.denominator().mults.tolist() == [2, 1]
+        return (*_reduced_system(rng, 40, spec), 1.0)
     if name == "constant-v":
         fac, b, d, nodes, _ = _reduced_system(rng, 32, PoleSpec(4))
         return fac, b, d, nodes, FactoredPoly((), (), 2.5 - 0.5j), 1.0
@@ -353,11 +352,10 @@ def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
                                                         two_sided, grid):
     """bound_vector against the R-tensor oracle on random reduced systems of
     order up to 40, one- and two-sided."""
-    side = "two" if two_sided else "one"
     spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
                                   for lam, k, chi in poles), chi0=int(two_sided))
-    assume(spec.total(side) <= n)
-    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec, side=side)
+    assume(spec.total() <= n)
+    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec)
     q = BoundQuery(fac, nodes, v, s_samples=grid[0], mu_samples=grid[1])
     got = bound_vector(q, b)
     want, runner_up = _tensor_reference(q, b)
@@ -365,6 +363,65 @@ def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
     # rounding may swap two points closer than that
     if runner_up < want.value * (1.0 - 1e-9):
         assert (got.argmax_s, got.argmax_mu) == (want.argmax_s, want.argmax_mu)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
+       poles=st.lists(st.tuples(_OFF_SPECTRUM_POLE, st.integers(1, 2), st.integers(0, 2)),
+                      max_size=3, unique_by=lambda p: p[0]),
+       two_sided=st.booleans(), shift=st.floats(0.0, 4.0))
+def test_s_one_row_is_one_value(n, seed, kappa0, poles, two_sided, shift):
+    """At s = 1 the value does not depend on mu, and bound_vector's row there
+    is bitwise constant, so an argmax on it reports mu_points[0] by the tie
+    rule.  The reduced nodes are shifted left, which moves most argmaxes to
+    s = 1."""
+    spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
+                                  for lam, k, chi in poles), chi0=int(two_sided))
+    assume(spec.total() <= n)
+    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec)
+    q = BoundQuery(fac, NodeList(nodes.nodes - shift), v)
+    rows, result = [], q._result
+
+    def recording(values):
+        rows.append(values[-1].copy())
+        return result(values)
+
+    q._result = recording
+    res = bound_vector(q, b)
+    assert np.all(rows[0] == rows[0][0])
+    if res.argmax_s == 1.0:
+        assert res.argmax_mu == q.mu_points[0]
+
+
+def _peak_bytes(route, fac, nodes, v, b, n_mu):
+    """BoundQuery.grid_bytes, and the traced peak of setting the query up
+    and evaluating its grid on one route."""
+    c = fac.solve(b)
+    tracemalloc.start()
+    try:
+        q = BoundQuery(fac, nodes, v, mu_samples=n_mu)
+        route(q, *((b,) if route is bound_vector else (b, b)), c=c)
+        return q.grid_bytes, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, n_mu", [(256, 2000), (128, 20000)])
+def test_grid_bytes_counts_the_peak(n, n_mu):
+    """The memory cap's estimate covers what the grid allocates, the tables'
+    temporaries included, and overstates bound_vector's peak by at most half."""
+    rng = np.random.default_rng(359)
+    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    fac = EigenFactorization(rng.uniform(-1.0, 1.0, (n, n))
+                             + 1j * rng.uniform(-1.0, 1.0, (n, n)), nu)
+    poles = derive_poles(ExperimentConfig(n=128, trials=1))
+    v = FactoredPoly(poles, np.ones(poles.size, dtype=int), 1.0)
+    nodes = NodeList(0.5 * (rng.uniform(-1.0, 0.0, 9) + 1j * rng.uniform(-np.pi, np.pi, 9)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, n_mu)
+    assert peak <= estimate <= 1.5 * peak
+    estimate, peak = _peak_bytes(bound_bilinear, fac, nodes, v, b, n_mu)
+    assert peak <= estimate
 
 
 def test_gram_form_memory_has_no_n_times_mu_term():

@@ -108,10 +108,21 @@ def test_bound_two_sided_dispatch(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
 
     spec = PoleSpec.from_json(spec_obj)
-    V, _ = build_krylov_basis(A, b, spec, side="two", d=d)
-    model = reduce(A, b, V, d=d, spec=spec, side="two")
+    V, _ = build_krylov_basis(A, b, spec, d=d)
+    model = reduce(A, b, V, d=d, spec=spec)
     res = arnoldi_error_bound(model, A, b, d=d, t=1.0)
     assert out["e1"] == res.value
+
+
+@pytest.mark.parametrize("b", [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]], ids=["b", "zero_b"])
+def test_bound_two_sided_spec_needs_d(tmp_path, capsys, b):
+    """A spec with chi fixes a two-sided space; without --d this printed an
+    e1 of the one-sided reduction, or 0 for b = 0."""
+    spec = {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": 1}]}
+    assert main(_bound_args(tmp_path, np.diag([-0.5, -1.0 + 1.0j, -0.2]), b, spec)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: two-sided basis needs the output vector d"]
 
 
 def test_bound_output_independent_of_openblas_threads(tmp_path):
@@ -277,6 +288,7 @@ _RECT = {"re_min": -1.0, "re_max": 0.0, "im_min": -1.0, "im_max": 1.0}
     ({"outdir": 5}, "outdir"),
     ({"trails": 3, "n": 32}, "'trails'"),
     ([16], "JSON object"),
+    ({"boundary_nodes": 18}, "'boundary_nodes'"),
 ])
 @pytest.mark.parametrize("command", ["run", "poles"])
 def test_config_errors_exit_cleanly(tmp_path, capsys, command, config, named):

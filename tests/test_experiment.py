@@ -23,10 +23,8 @@ from ratmat.experiment import (
 def test_config_validation():
     with pytest.raises(ValueError, match="trials"):
         ExperimentConfig(trials=0)
-    with pytest.raises(ValueError, match="boundary_nodes must equal"):
-        ExperimentConfig(boundary_nodes=17)
-    with pytest.raises(ValueError, match="even"):
-        ExperimentConfig(boundary_nodes=19, fit_degree=(9, 9))
+    with pytest.raises(ValueError, match="L \\+ M must be odd"):
+        ExperimentConfig(fit_degree=(9, 9))
     with pytest.raises(ValueError, match="degenerate rectangle"):
         ExperimentConfig(rectangle={"re_min": 0.0, "re_max": 0.0,
                                     "im_min": -1.0, "im_max": 1.0})

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from oracles import dense_krylov_vectors, random_diagonalizable, taylor_expm
+from ratmat import rom
+from ratmat.bounds import BoundQuery
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.linalg import EigenFactorization
 from ratmat.rom import (
@@ -37,14 +41,11 @@ def test_pole_spec_validation():
 def test_pole_spec_totals_and_denominator():
     spec = PoleSpec(1, [FinitePole(2.0, 2, 1), FinitePole(-1.0j, 0, 3)])
     assert spec.is_two_sided
-    assert spec.total("one") == 3
-    assert spec.total("two") == 7
-    v1 = spec.denominator("one")
-    assert list(v1.roots) == [2.0] and list(v1.mults) == [2]
-    v2 = spec.denominator("two")
-    assert list(v2.roots) == [2.0, -1.0j] and list(v2.mults) == [3, 3]
+    assert spec.total() == 7
+    v = spec.denominator()
+    assert list(v.roots) == [2.0, -1.0j] and list(v.mults) == [3, 3]
     # no finite poles at all: v is the constant 1
-    vinf = PoleSpec(4).denominator("one")
+    vinf = PoleSpec(4).denominator()
     assert vinf.degree == 0 and vinf(1.7) == 1.0
 
 
@@ -114,8 +115,8 @@ def test_basis_two_sided_dual_chain():
     d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     lam = 3.0 - 2.0j
     spec = PoleSpec(1, [FinitePole(lam, 1, 1)], chi0=2)
-    V, kept = build_krylov_basis(A, b, spec, side="two", d=d)
-    assert len(kept) == spec.total("two") == 5
+    V, kept = build_krylov_basis(A, b, spec, d=d)
+    assert len(kept) == spec.total() == 5
     P = V @ V.conj().T
     dual = np.linalg.solve(np.conj(lam) * np.eye(8) - A.conj().T, d)
     for vec in (d, A.conj().T @ d, dual):
@@ -123,11 +124,8 @@ def test_basis_two_sided_dual_chain():
 
 
 def test_basis_argument_errors():
-    b = np.ones(3)
-    with pytest.raises(ValueError, match="side"):
-        build_krylov_basis(np.eye(3), b, PoleSpec(1), side="three")
     with pytest.raises(ValueError, match="output vector d"):
-        build_krylov_basis(np.eye(3), b, PoleSpec(1, chi0=1), side="two")
+        build_krylov_basis(np.eye(3), np.ones(3), PoleSpec(1, chi0=1))
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -217,7 +215,7 @@ def test_moment_match_one_sided():
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     spec = PoleSpec(3, [FinitePole(2.5 + 0.5j, 2), FinitePole(-3.0 - 1.0j, 1)])
     V, kept = build_krylov_basis(A, b, spec)
-    assert len(kept) == spec.total("one")
+    assert len(kept) == spec.total()
     model = reduce(A, b, V, spec=spec)
     assert moment_match_check(model, A, b) <= 1e-8
 
@@ -263,11 +261,11 @@ def test_moment_match_two_sided_both_kinds():
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     spec = PoleSpec(2, [FinitePole(3.0, 1, 1), FinitePole(2.0j + 2.0, 1, 1)], chi0=1)
-    V, kept = build_krylov_basis(A, b, spec, side="two", d=d)
-    assert len(kept) == spec.total("two")
-    model = reduce(A, b, V, d=d, spec=spec, side="two")
+    V, kept = build_krylov_basis(A, b, spec, d=d)
+    assert len(kept) == spec.total()
+    model = reduce(A, b, V, d=d, spec=spec)
     assert moment_match_check(model, A, b) <= 1e-8
-    assert moment_match_check(model, A, b, d=d, kind="bilinear") <= 1e-8
+    assert moment_match_check(model, A, b, d=d) <= 1e-8
 
 
 # pole sites at least 1.5 from the square |Re z|, |Im z| <= 1 that holds
@@ -295,16 +293,53 @@ def test_moment_match_random_specs(seed, poles, kappa0, chi0, two_sided, spare):
     finite = [FinitePole(lam, kappa, chi) for lam, kappa, chi in poles]
     assume(kappa0 + sum(p.kappa for p in finite) > 0)
     spec = PoleSpec(kappa0, finite, chi0=chi0)
-    side = "two" if two_sided else "one"
-    n = spec.total(side) + spare
+    n = spec.total() + spare
     rng = np.random.default_rng(seed)
     A, S, ev, Sinv = random_diagonalizable(rng, n, radius=1.0)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    V, _ = build_krylov_basis(A, b, spec, side=side, d=d)
-    model = reduce(A, b, V, d=d, spec=spec, side=side)
+    V, _ = build_krylov_basis(A, b, spec, d=d)
+    model = reduce(A, b, V, d=d, spec=spec)
     assert moment_match_check(model, A, b) <= 1e-8
-    assert moment_match_check(model, A, b, d=d, kind="bilinear") <= 1e-8
+    assert moment_match_check(model, A, b, d=d) <= 1e-8
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2 ** 16),
+    poles=st.lists(
+        st.tuples(st.sampled_from(_MOMENT_SITES), st.integers(0, 2), st.integers(0, 2)),
+        min_size=1, max_size=2, unique_by=lambda p: p[0],
+    ),
+    kappa0=st.integers(1, 2),
+    chi0=st.integers(0, 2),
+    two_sided=st.booleans(),
+)
+def test_spec_decides_space_and_denominator(seed, poles, kappa0, chi0, two_sided):
+    """The spec alone fixes the space and the bound's v, with d passed either
+    way: the basis keeps spec.total() vectors, and v has degree
+    sum(kappa_k + chi_k) when the spec is two-sided and sum(kappa_k) when not."""
+    if not two_sided:
+        poles, chi0 = [(lam, kappa, 0) for lam, kappa, _ in poles], 0
+    spec = PoleSpec(kappa0, [FinitePole(*p) for p in poles], chi0=chi0)
+    n = spec.total() + 2
+    rng = np.random.default_rng(seed)
+    A, S, ev, Sinv = random_diagonalizable(rng, n, radius=1.0)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V, kept = build_krylov_basis(A, b, spec, d=d)
+    assert len(kept) == spec.total()
+    model = reduce(A, b, V, d=d, spec=spec)
+    seen = []
+
+    def recording(A, nodes, v, **kwargs):
+        seen.append(v.degree)
+        return BoundQuery(A, nodes, v, **kwargs)
+
+    with mock.patch.object(rom, "BoundQuery", recording):
+        arnoldi_error_bound(model, A, b, d=d)
+    want = sum(p.kappa + p.chi if spec.is_two_sided else p.kappa for p in spec.poles)
+    assert seen == [want]
 
 
 def test_moment_match_argument_errors():
@@ -314,10 +349,8 @@ def test_moment_match_argument_errors():
     spec = PoleSpec(2, [FinitePole(3.0, 1)])
     V, _ = build_krylov_basis(A, b, spec)
     model = reduce(A, b, V, spec=spec)
-    with pytest.raises(ValueError, match="needs d and dhat"):
-        moment_match_check(model, A, b, kind="bilinear")
-    with pytest.raises(ValueError, match="kind"):
-        moment_match_check(model, A, b, kind="norm")
+    with pytest.raises(ValueError, match="needs dhat"):
+        moment_match_check(model, A, b, d=b)
     bare = reduce(A, b, V)
     with pytest.raises(ValueError, match="no pole specification"):
         moment_match_check(bare, A, b)
@@ -369,9 +402,11 @@ def test_arnoldi_bound_covers_true_error_two_sided():
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     d = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     spec = PoleSpec(1, [FinitePole(2.5, 1, 1)], chi0=1)
-    V, kept = build_krylov_basis(A, b, spec, side="two", d=d)
-    assert len(kept) == spec.total("two")
-    model = reduce(A, b, V, d=d, spec=spec, side="two")
+    V, kept = build_krylov_basis(A, b, spec, d=d)
+    assert len(kept) == spec.total()
+    model = reduce(A, b, V, d=d, spec=spec)
+    with pytest.raises(ValueError, match="two-sided bound needs the output vector d"):
+        arnoldi_error_bound(model, A, b)
     exact = complex(d.conj() @ (taylor_expm(A) @ b))
     e0 = abs(exact - impulse_reduced(model, 1.0))
     e1 = arnoldi_error_bound(model, A, b, d=d, t=1.0).value
@@ -396,19 +431,17 @@ def _check_eigen_route(fac, b, d, spec):
     eps * cond(K).
     """
     A = (fac.S * fac.eigenvalues) @ np.linalg.inv(fac.S)
-    side = "two" if spec.is_two_sided else "one"
-    d = d if side == "two" else None
-    V, kept = build_krylov_basis(fac, b, spec, side=side, d=d)
+    V, kept = build_krylov_basis(fac, b, spec, d=d)
 
     raw = dense_krylov_vectors(A, b, spec.kappa0,
                                [(p.lam, p.kappa) for p in spec.poles], False)
-    if side == "two":
+    if spec.is_two_sided:
         raw += dense_krylov_vectors(A, d, spec.chi0,
                                     [(p.lam, p.chi) for p in spec.poles], True)
     for x in raw:
         assert _span_residual(V, x) <= 1e-10
 
-    model = reduce(fac, b, V, d=d, spec=spec, side=side)
+    model = reduce(fac, b, V, d=d, spec=spec)
     K = np.column_stack([x / np.linalg.norm(x) for x in raw])
     sv = np.linalg.svd(K, compute_uv=False)
     tol = 1e3 * np.finfo(float).eps * sv[0] / sv[-1]
@@ -419,8 +452,7 @@ def _check_eigen_route(fac, b, d, spec):
     assert np.abs(ev_ref[rows] - ev[cols]).max() <= tol * np.abs(ev_ref).max()
 
     assert moment_match_check(model, fac, b) <= 1e-8
-    if side == "two":
-        assert moment_match_check(model, fac, b, d=d, kind="bilinear") <= 1e-8
+    assert moment_match_check(model, fac, b, d=d) <= 1e-8
 
 
 def _rectangle_system(rng, n):
@@ -480,7 +512,7 @@ def test_factorization_route_pole_in_spectrum(side):
     messages = []
     for op in (A, fac):
         with pytest.raises(ValueError, match="pole in spectrum") as info:
-            build_krylov_basis(op, b, spec, side=side, d=d)
+            build_krylov_basis(op, b, spec, d=d)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
 
