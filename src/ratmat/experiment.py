@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -43,11 +41,10 @@ COND_LIMIT = 1e8
 MAX_REDRAWS = 10
 
 # Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
-# so its output bits do not depend on the core count, and trials may run
-# concurrently instead.  At and above it numpy's BLAS runs on one thread and
-# scipy's (the LU of S and the grid product) keeps its own threads, unless
-# RATMAT_THREADS runs more than one trial at a time, which pins each trial to
-# one thread as below.  README.md has the measurements behind the value.
+# so its output bits do not depend on the core count.  At and above it
+# numpy's BLAS runs on one thread and scipy's (the LU of S and the grid
+# product) keeps its own threads.  README.md has the measurements behind the
+# value.
 PIN_BELOW_N = 640
 
 # Real numbers per block of rows in the draw of S (256 KB, one block up to
@@ -300,50 +297,23 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _requested_workers() -> int:
-    raw = os.environ.get("RATMAT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"RATMAT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all trials, write trials.csv / figure.csv / summary.json.
 
-    min(RATMAT_THREADS, trials) trials run at a time.  When that is more
-    than one, or below PIN_BELOW_N, every trial runs on one BLAS thread.
-    Otherwise, from PIN_BELOW_N up, trials run one after another with
-    numpy's BLAS on one thread and scipy's on its own threads.  Each trial
-    owns an independent RNG stream, so results do not depend on scheduling.
+    Trials run one after another under the BLAS pin of trial_threads(n),
+    each on an independent RNG stream.
     """
     t_start = time.perf_counter()
-    requested = _requested_workers()
     poles = derive_poles(config)
-
-    def one(trial: int):
-        rng = np.random.default_rng([config.seed, trial])
-        record, model, nu = _run_trial_pinned(config, poles, rng)
-        record.trial = trial
-        if trial != 0:
-            model, nu = None, None  # only trial 0 feeds the figure data
-        return record, model, nu
-
-    workers = min(requested, config.trials)
-    pinned = config.n < PIN_BELOW_N or workers > 1
-    with blas_threads() if pinned else numpy_blas_serial():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, range(config.trials)))
-        else:
-            results = [one(i) for i in range(config.trials)]
-    results.sort(key=lambda item: item[0].trial)
-    records = [item[0] for item in results]
+    records = []
+    with trial_threads(config.n):
+        for trial in range(config.trials):
+            rng = np.random.default_rng([config.seed, trial])
+            record, model, nu = _run_trial_pinned(config, poles, rng)
+            record.trial = trial
+            records.append(record)
+            if trial == 0:  # only trial 0 feeds the figure data
+                model0, nu0 = model, nu
 
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -357,7 +327,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (outdir / "trials.csv").write_text("\n".join(lines) + "\n")
 
     fig_lines = ["kind,re,im"]
-    model0, nu0 = results[0][1], results[0][2]
     for kind, z in _figure_rows(config, poles, model0, nu0):
         fig_lines.append(f"{kind},{_fmt(complex(z).real)},{_fmt(complex(z).imag)}")
     (outdir / "figure.csv").write_text("\n".join(fig_lines) + "\n")
@@ -375,8 +344,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seconds_total": time.perf_counter() - t_start,
         "seconds_per_trial": [rec.seconds for rec in records],
         "diagnostics": {
-            "workers": workers,
-            "blas_threads": 1 if pinned else None,
+            "blas_threads": 1 if config.n < PIN_BELOW_N else None,
             "openblas_libraries": len(blas_thread_counts()),
             "cond_S": [rec.cond_S for rec in records],
             "redraws": [rec.redraws for rec in records],

@@ -313,6 +313,16 @@ def test_bound_malformed_matrix_json(tmp_path, capsys, data, named):
     assert err.startswith("error: ") and named in err
 
 
+def test_bound_refuses_a_fractional_matrix_size(tmp_path, capsys):
+    """A 2.7 x 2 matrix is refused, not read as 2 x 2."""
+    A = _dump(tmp_path, "A.json", {"rows": 2.7, "cols": 2, "data": [[-1.0, 0.0]] * 4})
+    b = _dump(tmp_path, "b.json", vector_to_json([1.0, 1.0]))
+    spec = _dump(tmp_path, "spec.json", {"kappa0": 1})
+    assert main(["bound", "--A", A, "--b", b, "--poles", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "A: rows must be an integer, got 2.7" in err
+
+
 @pytest.mark.parametrize("spec, named", [
     ({"kappa0": 1, "chi0": None}, "chi0 must be an integer, got None"),
     ({"kappa0": 1, "chi_0": 1}, "unknown spec key 'chi_0'"),

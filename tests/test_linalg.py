@@ -45,6 +45,8 @@ def test_matrix_json_round_trip():
     assert len(obj["data"]) == 12
     back = matrix_from_json(obj)
     assert np.array_equal(back, m)
+    # an integral float is a size, as for every other JSON integer
+    assert np.array_equal(matrix_from_json({**obj, "rows": 3.0}), m)
 
 
 def test_vector_json_round_trip_and_shapes():
@@ -64,6 +66,20 @@ def test_matrix_json_malformed():
         matrix_from_json({"rows": 2, "cols": 2})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "data": [[0, 0]] * 3})
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (2.7, 2, "A: rows must be an integer, got 2.7"),
+    ("2", 2, "A: rows must be an integer, got '2'"),
+    (True, 1, "A: rows must be an integer, got True"),
+    (2, None, "A: cols must be an integer, got None"),
+    (-1, -1, "A: size -1x-1 is negative"),
+    (-2, 0, "A: size -2x0 is negative"),
+])
+def test_matrix_json_refuses_bad_sizes(rows, cols, message):
+    with pytest.raises(ValueError) as info:
+        matrix_from_json({"rows": rows, "cols": cols, "data": [[0, 0]]}, "A")
+    assert str(info.value) == message
 
 
 def test_eigen_factorization_checks_inverse():
@@ -434,6 +450,21 @@ def test_eigen_factorization_hands_zgetrf_a_column_major_buffer(monkeypatch):
     assert len(calls) == 1 and fac.lu[0] is calls[0]
     assert fac.S is S and np.array_equal(S, before)
     assert not np.shares_memory(fac.lu[0], S)
+
+
+def test_eigen_factorization_copies_a_column_major_S_plainly(monkeypatch):
+    """eig's Fortran-ordered S fills the LU buffer by one plain copy, not
+    the blocked transposing one, and S is still held row-major."""
+    def refused(S):
+        raise AssertionError("column-major S transposed into the LU buffer")
+
+    monkeypatch.setattr(linalg, "_column_major", refused)
+    rng = np.random.default_rng(9)
+    S = np.asfortranarray(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
+    before = S.copy()
+    fac = EigenFactorization(S, np.arange(50))
+    assert fac.S.flags.c_contiguous and np.array_equal(fac.S, S)
+    assert np.array_equal(S, before) and not np.shares_memory(fac.lu[0], S)
 
 
 def test_blas_threads_nested_restores_once():
