@@ -14,7 +14,6 @@ uniform grid; both grid sizes are part of the query and the result.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import factorial
 
@@ -24,7 +23,7 @@ from .geometry import convex_hull, hull_boundary_samples
 from .interp import CONFLUENCE_TOL, NodeList
 from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
-from .linalg import as_vector, eig_small, factorize  # noqa: F401
+from .linalg import as_vector, eig_small, factorize, require_memory  # noqa: F401
 
 
 @dataclass
@@ -97,11 +96,8 @@ class BoundQuery:
         n_mu = max(mu_samples, nodes.reps.size)
         K, n = v.degree + 1, self.fac.order
         self.grid_bytes = 16 * (n_mu + s_samples * (n_mu * (3 + 2 * K) + 3 * K * n))
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if self.grid_bytes > have:
-            raise ValueError(f"the {s_samples} x {n_mu} grid is too big: its tables need "
-                             f"{self.grid_bytes / 2**30:.3g} GiB, more than the "
-                             f"{have / 2**30:.3g} GiB of physical memory")
+        require_memory(self.grid_bytes,
+                       f"the {s_samples} x {n_mu} grid is too big: its tables")
         _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
         self._tables_cache = None
@@ -165,7 +161,7 @@ def bound_vector(q: BoundQuery, b, *, c=None) -> BoundResult:
     are the folded X, and the block Y_j of deg v + 1 of them that belongs to
     s_j maps C[j, m] to the core vector at (s_j, mu_m).  That GEMM is the one
     O(n^2 n_s deg v) step, so it runs in scipy's BLAS, next to the LU of S
-    (see linalg.numpy_blas_serial).  The norms then come from the Gram
+    (see linalg.blas_pin).  The norms then come from the Gram
     matrices G_j = Y_j^H Y_j as ||Y_j C[j, m]||^2 = C[j, m]^H G_j C[j, m], so
     a mu sample costs O(deg^2 v) and nothing in n.
     """

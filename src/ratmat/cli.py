@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .bounds import BoundResult
-from .experiment import ExperimentConfig, derive_poles, run_experiment, trial_threads
-from .linalg import factorize, matrix_from_json, vector_from_json
+from .experiment import ExperimentConfig, derive_poles, run_experiment
+from .linalg import blas_pin, factorize, matrix_from_json, vector_from_json
 from .rom import FinitePole, PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
 
@@ -60,17 +60,17 @@ def bound_cmd(args) -> int:
         raise ValueError(f"--s-samples must be at least 2, got {args.s_samples}")
     if args.mu_samples < 1:
         raise ValueError(f"--mu-samples must be at least 1, got {args.mu_samples}")
-    if spec.is_two_sided and d is None:  # refused here too, before the b = 0 shortcut
-        raise ValueError("two-sided basis needs the output vector d")
+    spec.check_output_vector(d)  # before A is factorized, for every b
 
-    if np.linalg.norm(b) == 0.0:
+    if np.linalg.norm(b) == 0.0:  # e1 is 0, once the spec is known to fit A
+        spec.check_basis(A.shape[0], d)
         zero = BoundResult(0.0, 0.0, 0j, args.s_samples, args.mu_samples)
         print(json.dumps(zero.to_json()))
         return 0
 
     # the BLAS threads follow the order as a trial's do, so the bits ignore
     # the cores; A is factorized and c = S^-1 b solved once for all three steps
-    with trial_threads(A.shape[0]):
+    with blas_pin(A.shape[0]):
         fac = factorize(A)
         c = fac.solve(b)
         V, _ = build_krylov_basis(fac, b, spec, d=d, c=c)

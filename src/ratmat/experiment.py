@@ -23,10 +23,10 @@ from .bounds import mu_grid
 from .interp import linearized_rational_fit
 from .linalg import (
     EigenFactorization,
+    blas_pin,
     blas_thread_counts,
-    blas_threads,
     integer_from_json,
-    numpy_blas_serial,
+    require_memory,
 )
 from .rom import (
     FinitePole,
@@ -39,13 +39,6 @@ from .rom import (
 
 COND_LIMIT = 1e8
 MAX_REDRAWS = 10
-
-# Below this order a trial, and an `xp bound` call, runs on one BLAS thread,
-# so its output bits do not depend on the core count.  At and above it
-# numpy's BLAS runs on one thread and scipy's (the LU of S and the grid
-# product) keeps its own threads.  README.md has the measurements behind the
-# value.
-PIN_BELOW_N = 640
 
 # Real numbers per block of rows in the draw of S (256 KB, one block up to
 # n = 181).
@@ -96,6 +89,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         L, M = self.fit_degree
+        if L < 0 or M < 0:
+            raise ValueError(f"fit_degree must be two non-negative degrees, got [{L}, {M}]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if (L + M) % 2 == 0:
@@ -114,8 +109,8 @@ class ExperimentConfig:
         """Config from a decoded JSON object; absent keys keep their default.
 
         An unknown key, a value of the wrong type, a rectangle without
-        exactly its four bounds or a fit_degree that is not a pair raises
-        ValueError naming the key.
+        exactly its four bounds, a fit_degree that is not a pair or a value
+        the constructor refuses raises ValueError, "config: " and the key.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"config: expected a JSON object, got {obj!r}")
@@ -139,7 +134,10 @@ class ExperimentConfig:
                 raise ValueError(f"config: outdir must be a string, got {value!r}")
             else:
                 kw[key] = value
-        return cls(**kw)
+        try:
+            return cls(**kw)
+        except ValueError as exc:  # a value __post_init__ refuses
+            raise ValueError(f"config: {exc}") from exc
 
     def to_json(self) -> dict:
         return {
@@ -201,12 +199,6 @@ def derive_poles(config: ExperimentConfig) -> np.ndarray:
     if np.any(inside):
         raise ValueError(f"fit pole {poles[np.nonzero(inside)[0][0]]} inside the rectangle")
     return poles
-
-
-def trial_threads(n: int):
-    """The BLAS thread pin of a trial or an `xp bound` call on order n: every
-    build on one thread below PIN_BELOW_N, numpy's build alone from it up."""
-    return blas_threads() if n < PIN_BELOW_N else numpy_blas_serial()
 
 
 def draw_eigenvectors(rng, n: int) -> np.ndarray:
@@ -278,7 +270,7 @@ def run_trial(config: ExperimentConfig, poles: np.ndarray, rng) -> TrialRecord:
     # the BLAS thread counts move e0 in the last digits, so every route to a
     # trial takes them from the config alone (run_experiment holds the same
     # pin around all of its trials)
-    with trial_threads(config.n):
+    with blas_pin(config.n):
         return _run_trial_pinned(config, poles, rng)[0]
 
 
@@ -300,13 +292,16 @@ def _fmt(x: float) -> str:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all trials, write trials.csv / figure.csv / summary.json.
 
-    Trials run one after another under the BLAS pin of trial_threads(n),
-    each on an independent RNG stream.
+    Trials run one after another under linalg.blas_pin(n), each on an
+    independent RNG stream.  An n whose S and LU buffer exceed physical
+    memory is refused before the first draw.
     """
     t_start = time.perf_counter()
+    n = config.n
+    require_memory(32 * n * n, f"config: n = {n} is too big: S and its LU buffer")
     poles = derive_poles(config)
     records = []
-    with trial_threads(config.n):
+    with blas_pin(n) as blas_threads:
         for trial in range(config.trials):
             rng = np.random.default_rng([config.seed, trial])
             record, model, nu = _run_trial_pinned(config, poles, rng)
@@ -344,7 +339,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "seconds_total": time.perf_counter() - t_start,
         "seconds_per_trial": [rec.seconds for rec in records],
         "diagnostics": {
-            "blas_threads": 1 if config.n < PIN_BELOW_N else None,
+            "blas_threads": blas_threads,
             "openblas_libraries": len(blas_thread_counts()),
             "cond_S": [rec.cond_S for rec in records],
             "redraws": [rec.redraws for rec in records],

@@ -41,6 +41,13 @@ DEP_TOL = 1e-10
 # (512 KB): a block's cache lines stay in L2 while its columns are written.
 COPY_BLOCK = 1 << 15
 
+# Below this order blas_pin puts every OpenBLAS build on one thread, so e1's
+# bits do not depend on the core count.  From it up only scipy's build (the
+# LU of S, the grid product) keeps its threads: idle threads spin after a
+# call, so threads in two builds fight over the cores (n = 1024, 2 cores: a
+# 47 ms zgetrf, then a 50 ms GEMM, took 212 ms).  README.md has the timings.
+PIN_BELOW_N = 640
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert ``a`` to a 2-D complex128 array, copied only if needed."""
@@ -122,6 +129,15 @@ def vector_from_json(obj, name: str = "vector") -> np.ndarray:
     if min(m.shape) != 1 and m.size > 0:
         raise ValueError(f"{name}: expected a single row or column, got {m.shape}")
     return m.reshape(-1)
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse nbytes beyond the machine's physical memory, with the message
+    "<what> need X GiB, more than the Y GiB of physical memory"."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > have:
+        raise ValueError(f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+                         f"{have / 2**30:.3g} GiB of physical memory")
 
 
 def _norm1(m: np.ndarray) -> float:
@@ -275,9 +291,10 @@ def mgs_orthonormalize(cols):
 def eig_small(A) -> EigenFactorization:
     """Dense complex eigen decomposition of a square matrix of any order.
 
-    LAPACK's zgeev comes from scipy's build, which numpy_blas_serial leaves
-    threaded.  The eigenpairs are checked by their residual; the result is flagged
-    unusable when S is singular or too ill-conditioned (see EigenFactorization).
+    LAPACK's zgeev comes from scipy's build, which blas_pin leaves threaded
+    from PIN_BELOW_N up.  The eigenpairs are checked by their residual; the
+    result is flagged unusable when S is singular or too ill-conditioned
+    (see EigenFactorization).
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -361,7 +378,7 @@ class _OpenBLASPin:
         self._lock = threading.Lock()
         self._builds = None  # [_Build]
         self._depth = 0
-        self._numpy_only = False  # the kind of the pin held
+        self._n = 0  # the order of the outermost pin held
         self._saved = []
 
     def builds(self) -> list:
@@ -397,28 +414,30 @@ class _OpenBLASPin:
         own = [b for b in builds if b.numpy]
         return own if len(own) < len(builds) else []
 
-    def enter(self, numpy_only: bool):
+    def enter(self, n: int):
+        """Take the pin of order n (see blas_pin) and return its thread count."""
+        numpy_only = n >= PIN_BELOW_N
         with self._lock:
-            if self._depth and numpy_only != self._numpy_only:
-                raise ValueError(f"{_describe(numpy_only)} inside "
-                                 f"{_describe(self._numpy_only)}")
+            if self._depth and numpy_only != (self._n >= PIN_BELOW_N):
+                raise ValueError(f"blas_pin({n}) inside blas_pin({self._n}): the orders "
+                                 f"lie on two sides of PIN_BELOW_N = {PIN_BELOW_N}")
             if not self._depth:
                 targets = self._targets(numpy_only)
                 self._saved = [(b, b.get()) for b in targets]
                 for b in targets:
                     b.set(1)
-                self._numpy_only = numpy_only
+                self._n = n
                 if targets:
                     log.debug("OpenBLAS threads set to 1 on %s (were %s)",
                               ", ".join(b.name for b in targets),
                               ", ".join(str(c) for _, c in self._saved))
                 elif not self._builds:
-                    log.debug("no OpenBLAS loaded; %s does nothing",
-                              _describe(numpy_only))
+                    log.debug("no OpenBLAS loaded; blas_pin(%d) does nothing", n)
                 else:
                     log.debug("numpy's OpenBLAS is not a build of its own; "
-                              "%s does nothing", _describe(numpy_only))
+                              "blas_pin(%d) does nothing", n)
             self._depth += 1
+        return None if numpy_only else 1
 
     def exit(self):
         with self._lock:
@@ -430,10 +449,6 @@ class _OpenBLASPin:
                     log.debug("OpenBLAS threads restored to %s",
                               ", ".join(str(c) for _, c in self._saved))
                 self._saved = []
-
-
-def _describe(numpy_only: bool) -> str:
-    return "numpy_blas_serial()" if numpy_only else "blas_threads()"
 
 
 def _thread_functions(lib):
@@ -458,35 +473,15 @@ def blas_thread_counts() -> dict:
 
 
 @contextmanager
-def _pinned(numpy_only: bool):
-    _PIN.enter(numpy_only)
+def blas_pin(n: int):
+    """Run the block under the BLAS thread rule of order n: every loaded
+    OpenBLAS build on one thread below PIN_BELOW_N (yields 1), numpy's build
+    alone from it up (yields None; nothing is set when numpy's build cannot
+    be told apart from the others).  The setting is process-wide: nested and
+    concurrent entries share it and must lie on one side of PIN_BELOW_N, and
+    the last exit restores the prior counts."""
+    threads = _PIN.enter(n)
     try:
-        yield
+        yield threads
     finally:
         _PIN.exit()
-
-
-def blas_threads():
-    """Run the block with every loaded OpenBLAS build on one thread.
-
-    The setting is process-wide: nested entries and entries from other
-    threads share it and must be of the same kind, and the prior counts come
-    back when the last of them exits.  Without a loaded OpenBLAS this does
-    nothing.
-    """
-    return _pinned(numpy_only=False)
-
-
-def numpy_blas_serial():
-    """Run the block with numpy's OpenBLAS build on one thread, every other
-    build on its own count.
-
-    scipy's LAPACK and BLAS and numpy's BLAS are separate builds whose idle
-    threads spin after a call, so a threaded product in one next to a
-    threaded call in the other fights over the cores (n = 1024 on 2 cores: a
-    47 ms zgetrf, then a 50 ms GEMM, took 212 ms together).  Under this pin
-    only scipy's build runs threaded.  Nothing changes when numpy's build
-    cannot be told apart from the others or is the only one.  Nesting and
-    restoring work as in blas_threads.
-    """
-    return _pinned(numpy_only=True)

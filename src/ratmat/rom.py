@@ -13,6 +13,7 @@ applied by solves with the LU of S, and neither A nor S^-1 is formed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,19 @@ class PoleSpec:
         """Dimension of the space: every kappa and chi (all chi are 0 when one-sided)."""
         return self.kappa0 + self.chi0 + sum(p.kappa + p.chi for p in self.poles)
 
+    def check_output_vector(self, d) -> None:
+        """Refuse a two-sided spec without the output vector d."""
+        if self.is_two_sided and d is None:
+            raise ValueError("two-sided basis needs the output vector d")
+
+    def check_basis(self, order: int, d) -> None:
+        """Refuse a basis this spec cannot give on an A of this order: a
+        two-sided one without the output vector d, or one of more vectors
+        than the order."""
+        self.check_output_vector(d)
+        if (total := self.total()) > order:
+            raise ValueError(f"{total} Krylov vectors exceed the order {order} of A")
+
     def denominator(self) -> FactoredPoly:
         """v = prod (lambda - lambda_k)^(kappa_k + chi_k) over finite poles."""
         poles = [p for p in self.poles if p.kappa + p.chi > 0]
@@ -106,8 +120,8 @@ class PoleSpec:
         its chi and chi0 to 0.
 
         A missing kappa0 or lambda, an unknown key, a multiplicity that is
-        not an integer or a lambda that is not a [re, im] pair of numbers
-        raises ValueError naming the key.
+        not an integer or a lambda that is not a [re, im] pair of finite
+        numbers raises ValueError naming the key.
         """
         _spec_keys(obj, "spec", ("kappa0", "poles", "chi0"), "kappa0")
         raw = obj.get("poles", [])
@@ -125,6 +139,8 @@ class PoleSpec:
                                  f"numbers: {p['lambda']!r}") from exc
             except OverflowError as exc:  # an integer beyond the float range
                 raise _malformed(f"{where}.lambda is out of the float range") from exc
+            if not cmath.isfinite(lam):  # json reads NaN and Infinity
+                raise _malformed(f"{where}.lambda is not finite: {p['lambda']!r}")
             poles.append(FinitePole(lam,
                                     _spec_integer(f"{where}.kappa", p.get("kappa", 1)),
                                     _spec_integer(f"{where}.chi", p.get("chi", 0))))
@@ -196,10 +212,7 @@ def build_krylov_basis(A, b, spec: PoleSpec, d=None, *, c=None):
     """
     fac = factorize(A)
     b = as_vector(b)
-    if spec.is_two_sided and d is None:
-        raise ValueError("two-sided basis needs the output vector d")
-    if (total := spec.total()) > fac.order:
-        raise ValueError(f"{total} Krylov vectors exceed the order {fac.order} of A")
+    spec.check_basis(fac.order, d)
     raw = _krylov_vectors(fac, b, spec.kappa0,
                           [(p.lam, p.kappa) for p in spec.poles], False, c)
     if spec.is_two_sided:

@@ -487,9 +487,9 @@ def draw_eigenvectors_summed(rng, n):
 
 
 def numpy_serial_counts(builds, before: dict) -> dict:
-    """The thread counts numpy_blas_serial should leave: 1 on numpy's
-    builds and the prior count on the others, or no change at all when
-    numpy's build is not a library of its own."""
+    """The thread counts blas_pin should leave from PIN_BELOW_N up: 1 on
+    numpy's builds and the prior count on the others, or no change at all
+    when numpy's build is not a library of its own."""
     own = {b.name for b in builds if b.numpy}
     separable = 0 < len(own) < len(builds)
     return {name: 1 if separable and name in own else count

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from oracles import dense_krylov_vectors, taylor_expm
+from ratmat import cli
 from ratmat.cli import main
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.linalg import matrix_to_json, vector_to_json
@@ -115,9 +116,14 @@ def test_bound_two_sided_dispatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("b", [[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]], ids=["b", "zero_b"])
-def test_bound_two_sided_spec_needs_d(tmp_path, capsys, b):
+def test_bound_two_sided_spec_needs_d(tmp_path, capsys, monkeypatch, b):
     """A spec with chi fixes a two-sided space; without --d this printed an
-    e1 of the one-sided reduction, or 0 for b = 0."""
+    e1 of the one-sided reduction, or 0 for b = 0.  It is refused before A
+    is factorized."""
+    def refused(A):
+        raise AssertionError("A factorized for a spec that needs d")
+
+    monkeypatch.setattr(cli, "factorize", refused)
     spec = {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": 1}]}
     assert main(_bound_args(tmp_path, np.diag([-0.5, -1.0 + 1.0j, -0.2]), b, spec)) == 1
     captured = capsys.readouterr()
@@ -289,6 +295,8 @@ _RECT = {"re_min": -1.0, "re_max": 0.0, "im_min": -1.0, "im_max": 1.0}
     ({"trails": 3, "n": 32}, "'trails'"),
     ([16], "JSON object"),
     ({"boundary_nodes": 18}, "'boundary_nodes'"),
+    ({"fit_degree": [-1, 2]}, "fit_degree must be two non-negative degrees, got [-1, 2]"),
+    ({"fit_degree": [9, -2]}, "fit_degree must be two non-negative degrees, got [9, -2]"),
 ])
 @pytest.mark.parametrize("command", ["run", "poles"])
 def test_config_errors_exit_cleanly(tmp_path, capsys, command, config, named):
@@ -296,6 +304,24 @@ def test_config_errors_exit_cleanly(tmp_path, capsys, command, config, named):
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
+    assert len(err.splitlines()) == 1
+
+
+def test_run_refuses_an_order_beyond_physical_memory(tmp_path, capsys):
+    """S and its LU buffer at n = 10**6 take 32 TB: `xp run` refuses the
+    config before drawing S, and `xp poles`, which draws none, still runs."""
+    cfg = _dump(tmp_path, "cfg.json", {"n": 10 ** 6, "outdir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: config: n = 1000000 is too big: S and its LU "
+                               "buffer need 2.98e+04 GiB, more than the ")
+    assert lines[0].endswith(" GiB of physical memory")
+    assert not (tmp_path / "out").exists()
+    assert main(["poles", "--config", cfg]) == 0
+    assert len(json.loads(capsys.readouterr().out)["poles"]) == 8
 
 
 @pytest.mark.parametrize("data, named", [
@@ -337,6 +363,10 @@ def test_bound_refuses_a_fractional_matrix_size(tmp_path, capsys):
     ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0, 1.0]}]}, "poles[0].lambda is not"),
     ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": "1"}]},
      "poles[0].chi must be an integer"),
+    ({"kappa0": 1, "poles": [{"lambda": [float("nan"), 0.0]}]},
+     "poles[0].lambda is not finite: [nan, 0.0]"),
+    ({"kappa0": 1, "poles": [{"lambda": [float("inf"), 0.0]}]},
+     "poles[0].lambda is not finite: [inf, 0.0]"),
 ])
 def test_bound_malformed_pole_spec(tmp_path, capsys, spec, named):
     A = np.diag([-1.0, -2.0, -3.0])
@@ -386,16 +416,24 @@ def test_bound_out_of_range_number_exits_cleanly(tmp_path, capsys, target, named
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("spec", [
-    {"kappa0": _HUGE},
-    {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": _HUGE}]},
+_SYSTEMS = {"": (np.array([[-1.0]]), [1.0]), "-zero_b": (np.array([[-1.0]]), [0.0]),
+            "-empty_A": (np.zeros((0, 0)), [])}
+_TOO_MANY = [{"kappa0": _HUGE},
+             {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": _HUGE}]}]
+
+
+@pytest.mark.parametrize("spec, A, b", [
+    pytest.param(spec, *system, id=f"spec{i}{name}")
+    for name, system in _SYSTEMS.items() for i, spec in enumerate(_TOO_MANY)
 ])
-def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, spec):
-    """Refused before any Krylov vector is built; this ran until killed."""
-    args = _bound_args(tmp_path, np.array([[-1.0]]), [1.0], spec)
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "exceed the order 1 of A" in err
+def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, spec, A, b):
+    """Refused before any Krylov vector is built (this ran until killed),
+    also when b = 0 makes e1 zero; both printed e1 = 0 for b = 0."""
+    assert main(_bound_args(tmp_path, A, b, spec)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"exceed the order {A.shape[0]} of A" in captured.err
 
 
 def test_bound_out_of_range_mu_samples_exits_cleanly(tmp_path, capsys):

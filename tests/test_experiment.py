@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import os
@@ -291,13 +292,35 @@ def test_run_experiment_ignores_ratmat_threads_from_pin_up(tmp_path, monkeypatch
 
 def test_run_experiment_serial_unpinned_at_crossover(tmp_path, monkeypatch):
     # from PIN_BELOW_N up trials leave scipy's build on its own threads
-    monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
+    monkeypatch.setattr(linalg, "PIN_BELOW_N", 16)
     outdir = tmp_path / "out"
     config = ExperimentConfig(n=16, trials=3, seed=2, outdir=str(outdir))
     diagnostics = run_experiment(config)["diagnostics"]
     assert diagnostics["blas_threads"] is None
     stored = json.loads((outdir / "summary.json").read_text())
     assert stored["diagnostics"] == diagnostics
+
+
+@pytest.mark.parametrize("pin_below, threads", [(linalg.PIN_BELOW_N, 1), (16, None)])
+def test_summary_records_the_threads_blas_pin_yielded(tmp_path, monkeypatch,
+                                                      pin_below, threads):
+    """diagnostics.blas_threads is what the run's blas_pin yielded: 1 at
+    n = 16, null with the threshold at 16."""
+    monkeypatch.setattr(linalg, "PIN_BELOW_N", pin_below)
+    yielded = []
+    pin = experiment.blas_pin
+
+    @contextlib.contextmanager
+    def recorded(n):
+        with pin(n) as value:
+            yielded.append(value)
+            yield value
+
+    monkeypatch.setattr(experiment, "blas_pin", recorded)
+    outdir = tmp_path / "out"
+    run_experiment(ExperimentConfig(n=16, trials=2, seed=1, outdir=str(outdir)))
+    stored = json.loads((outdir / "summary.json").read_text())["diagnostics"]
+    assert yielded == [threads] and stored["blas_threads"] == threads
 
 
 def _record_threads(monkeypatch, n):
@@ -335,7 +358,7 @@ def test_threads_from_pin_up_serialize_numpy_build_alone(tmp_path, monkeypatch):
     """From PIN_BELOW_N up numpy's build reads 1 at the LU and at every
     block product with S, the other builds read their own counts, the counts
     come back afterwards, and two runs write the same bytes."""
-    monkeypatch.setattr(experiment, "PIN_BELOW_N", 16)
+    monkeypatch.setattr(linalg, "PIN_BELOW_N", 16)
     before = blas_thread_counts()
     expected = numpy_serial_counts(linalg._PIN.builds(), before)
     seen = _record_threads(monkeypatch, 24)

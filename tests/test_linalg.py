@@ -11,17 +11,17 @@ import scipy
 from oracles import eig_extreme_hermitian, numpy_serial_counts
 from ratmat import linalg
 from ratmat.linalg import (
+    PIN_BELOW_N,
     EigenFactorization,
     as_matrix,
     as_vector,
+    blas_pin,
     blas_thread_counts,
-    blas_threads,
     eig_small,
     factorize,
     matrix_from_json,
     matrix_to_json,
     mgs_orthonormalize,
-    numpy_blas_serial,
     poly_roots,
     vector_from_json,
     vector_to_json,
@@ -298,37 +298,48 @@ def _openblas_counts():
     return counts
 
 
+# orders on each side of the threshold: every build pinned, numpy's alone
+_SERIAL, _NUMPY_ONLY = PIN_BELOW_N - 1, PIN_BELOW_N
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_blas_threads_sets_and_restores(depth):
-    """Every build reads 1 under a pin entered ``depth`` times, and the
-    counts come back when the block raises through the outermost exit."""
+    """Every build reads 1 under a pin below PIN_BELOW_N entered ``depth``
+    times, each entry yields 1, and the counts come back when the block
+    raises through the outermost exit."""
     before = _openblas_counts()
     with pytest.raises(RuntimeError, match="inside the pin"):
         with contextlib.ExitStack() as stack:
             for _ in range(depth):
-                stack.enter_context(blas_threads())
+                assert stack.enter_context(blas_pin(_SERIAL)) == 1
             assert set(blas_thread_counts().values()) == {1}
             raise RuntimeError("inside the pin")
     assert blas_thread_counts() == before
 
 
 def test_numpy_blas_serial_pins_numpy_build_alone():
-    """numpy's build reads 1 and every other build keeps its count; a pin of
-    another kind inside it is refused, and the counts come back after."""
+    """From PIN_BELOW_N up numpy's build reads 1, every other build keeps its
+    count and the pin yields None; a pin below the threshold inside it is
+    refused, so is one from it up inside one below, and the counts come
+    back after."""
     before = _openblas_counts()
     expected = numpy_serial_counts(linalg._PIN.builds(), before)
-    with numpy_blas_serial():
+    with blas_pin(_NUMPY_ONLY) as threads:
+        assert threads is None
         assert blas_thread_counts() == expected
-        with numpy_blas_serial():
-            pass
+        with blas_pin(2 * PIN_BELOW_N) as inner:
+            assert inner is None
         assert blas_thread_counts() == expected
-        with pytest.raises(ValueError, match=r"blas_threads\(\) inside numpy_blas_serial"):
-            with blas_threads():
+        with pytest.raises(ValueError, match=rf"blas_pin\({_SERIAL}\) inside "
+                                             rf"blas_pin\({_NUMPY_ONLY}\)"):
+            with blas_pin(_SERIAL):
                 pass
     assert blas_thread_counts() == before
-    with blas_threads():
-        with pytest.raises(ValueError, match=r"numpy_blas_serial\(\) inside blas_threads"):
-            with numpy_blas_serial():
+    with blas_pin(_SERIAL):
+        with pytest.raises(ValueError, match=rf"blas_pin\({_NUMPY_ONLY}\) inside "
+                                             rf"blas_pin\({_SERIAL}\): the orders lie "
+                                             rf"on two sides of PIN_BELOW_N = {PIN_BELOW_N}"):
+            with blas_pin(_NUMPY_ONLY):
                 pass
     assert blas_thread_counts() == before
 
@@ -344,19 +355,20 @@ def test_numpy_build_is_told_by_its_path():
 
 def test_numpy_blas_serial_without_a_numpy_build_is_a_no_op(monkeypatch, caplog):
     """One shared library, or builds numpy's path does not tell apart: the
-    pin sets nothing."""
+    pin from PIN_BELOW_N up sets nothing."""
     calls = []
     shared = linalg._Build("libopenblas.so.0", False, lambda: 2, calls.append)
     pin = linalg._OpenBLASPin()
     pin._builds = [shared]
     monkeypatch.setattr(linalg, "_PIN", pin)
     with caplog.at_level(logging.DEBUG, logger="ratmat"):
-        with numpy_blas_serial():
-            pass
+        with blas_pin(_NUMPY_ONLY) as threads:
+            assert threads is None
     assert calls == []
-    assert "does nothing" in caplog.text
+    assert (f"numpy's OpenBLAS is not a build of its own; blas_pin({_NUMPY_ONLY}) "
+            "does nothing") in caplog.text
     pin._builds = [shared._replace(numpy=True)]
-    with numpy_blas_serial():
+    with blas_pin(_NUMPY_ONLY):
         pass
     assert calls == []
 
@@ -469,13 +481,13 @@ def test_eigen_factorization_copies_a_column_major_S_plainly(monkeypatch):
 
 def test_blas_threads_nested_restores_once():
     before = _openblas_counts()
-    with blas_threads():
-        with blas_threads():
+    with blas_pin(_SERIAL):
+        with blas_pin(1):
             pass
         # the inner exit must leave the outer pin in place
         assert set(blas_thread_counts().values()) == {1}
-        with pytest.raises(ValueError, match="inside blas_threads"):
-            with numpy_blas_serial():
+        with pytest.raises(ValueError, match=rf"inside blas_pin\({_SERIAL}\)"):
+            with blas_pin(_NUMPY_ONLY):
                 pass
         assert set(blas_thread_counts().values()) == {1}
     assert blas_thread_counts() == before
@@ -488,7 +500,7 @@ def test_blas_threads_two_threads_restore_once():
     seen = []
 
     def worker(i):
-        with blas_threads():
+        with blas_pin(_SERIAL):
             both_inside.wait()
             if i == 1:
                 first_left.wait(10)
@@ -516,7 +528,7 @@ def test_blas_threads_stress_many_threads():
     try:
         def worker():
             for _ in range(100):
-                with blas_threads():
+                with blas_pin(_SERIAL):
                     pinned.append(set(blas_thread_counts().values()) == {1})
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
@@ -536,6 +548,6 @@ def test_blas_threads_without_openblas_is_a_no_op(monkeypatch, caplog):
     pin._builds = []
     monkeypatch.setattr(linalg, "_PIN", pin)
     with caplog.at_level(logging.DEBUG, logger="ratmat"):
-        with blas_threads():
-            assert blas_thread_counts() == {}
-    assert "no OpenBLAS loaded" in caplog.text
+        with blas_pin(_SERIAL) as threads:
+            assert threads == 1 and blas_thread_counts() == {}
+    assert f"no OpenBLAS loaded; blas_pin({_SERIAL}) does nothing" in caplog.text
