@@ -15,7 +15,7 @@ uniform grid; both grid sizes are part of the query and the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -45,6 +45,18 @@ class BoundResult:
         }
 
 
+def check_query(t, s_samples: int, mu_samples: int) -> None:
+    """Refuse, before any work, a query no grid answers: t must be finite, s_samples
+    must be at least 2 (the endpoints), mu_samples must be at least 1, both indexable."""
+    if not isfinite(t):
+        raise ValueError(f"t must be a finite number, got {t}")
+    for name, size, least in (("s_samples", s_samples, 2), ("mu_samples", mu_samples, 1)):
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, got {size}")
+        if size > np.iinfo(np.intp).max:  # building the grid would overflow
+            raise ValueError(f"{name} is beyond numpy's index range")
+
+
 def mu_grid(points, count: int):
     """e1's mu samples: the convex hull of the points, and max(count, its
     vertex count) samples on its boundary, every vertex among them."""
@@ -66,11 +78,7 @@ class BoundQuery:
 
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
                  s_samples: int = 11, mu_samples: int = 50):
-        if s_samples < 2:
-            raise ValueError("need at least the endpoints in the s grid")
-        for name, size in (("s_samples", s_samples), ("mu_samples", mu_samples)):
-            if size > np.iinfo(np.intp).max:  # building the grid would overflow
-                raise ValueError(f"{name} is beyond numpy's index range")
+        check_query(t, s_samples, mu_samples)
         self.fac = factorize(A)
         self.nodes = nodes
         self.v = v

@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundResult
+from .bounds import BoundResult, check_query
 from .experiment import ExperimentConfig, derive_poles, run_experiment
-from .linalg import blas_pin, factorize, matrix_from_json, vector_from_json
+from .linalg import (as_square_matrix, blas_pin, factorize, matrix_from_json,
+                     vector_from_json)
 from .rom import FinitePole, PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
 
@@ -45,25 +46,17 @@ def poles_cmd(args) -> int:
 
 
 def bound_cmd(args) -> int:
-    A = matrix_from_json(_load_json(args.A), "A")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
+    A = as_square_matrix(matrix_from_json(_load_json(args.A), "A"), "A")
     b = vector_from_json(_load_json(args.b), "b")
     d = vector_from_json(_load_json(args.d), "d") if args.d else None
     spec = PoleSpec.from_json(_load_json(args.poles))
     for name, x in (("b", b), ("d", d)):
         if x is not None and x.size != A.shape[0]:
             raise ValueError(f"{name} has length {x.size}, A has order {A.shape[0]}")
-    if not np.isfinite(args.t):
-        raise ValueError(f"--t must be finite, got {args.t}")
-    if args.s_samples < 2:
-        raise ValueError(f"--s-samples must be at least 2, got {args.s_samples}")
-    if args.mu_samples < 1:
-        raise ValueError(f"--mu-samples must be at least 1, got {args.mu_samples}")
-    spec.check_output_vector(d)  # before A is factorized, for every b
+    check_query(args.t, args.s_samples, args.mu_samples)
+    spec.check_basis(A.shape[0], d)  # before A is factorized, for every b
 
-    if np.linalg.norm(b) == 0.0:  # e1 is 0, once the spec is known to fit A
-        spec.check_basis(A.shape[0], d)
+    if np.linalg.norm(b) == 0.0:  # e1 is 0
         zero = BoundResult(0.0, 0.0, 0j, args.s_samples, args.mu_samples)
         print(json.dumps(zero.to_json()))
         return 0

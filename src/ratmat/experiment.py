@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import mu_grid
+from .bounds import check_query, mu_grid
 from .interp import linearized_rational_fit
 from .linalg import (
     EigenFactorization,
     blas_pin,
     blas_thread_counts,
+    check_json_object,
     integer_from_json,
     require_memory,
 )
@@ -51,23 +52,10 @@ _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
 def _real(key: str, value) -> float:
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
-            if math.isfinite(value):
-                return float(value)
+            return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
     raise ValueError(f"config: {key} must be a finite number, got {value!r}")
-
-
-def _rectangle(value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"config: rectangle must be an object, got {value!r}")
-    for key in value:
-        if key not in _RECTANGLE_KEYS:
-            raise ValueError(f"config: unknown rectangle key {key!r}")
-    for key in _RECTANGLE_KEYS:
-        if key not in value:
-            raise ValueError(f"config: rectangle is missing {key!r}")
-    return {k: _real(f"rectangle.{k}", v) for k, v in value.items()}
 
 
 @dataclass
@@ -97,12 +85,14 @@ class ExperimentConfig:
             raise ValueError(f"L + M must be odd for a [{L}/{M}] fit: its L + M + 1 "
                              "nodes split evenly over two rectangle edges")
         r = self.rectangle
+        for key in _RECTANGLE_KEYS:
+            if not math.isfinite(r[key]):
+                raise ValueError(f"rectangle.{key} must be a finite number, got {r[key]}")
         if r["re_max"] <= r["re_min"] or r["im_max"] <= r["im_min"]:
             raise ValueError("degenerate rectangle")
         if self.n < 1 + M:
             raise ValueError(f"n must be at least the reduced order {1 + M}")
-        if self.mu_samples < 1 or self.s_samples < 2:
-            raise ValueError("grid sizes too small")
+        check_query(self.t, self.s_samples, self.mu_samples)
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -112,19 +102,17 @@ class ExperimentConfig:
         exactly its four bounds, a fit_degree that is not a pair or a value
         the constructor refuses raises ValueError, "config: " and the key.
         """
-        if not isinstance(obj, dict):
-            raise ValueError(f"config: expected a JSON object, got {obj!r}")
-        known = {f.name for f in fields(cls)}
+        check_json_object(obj, "config", tuple(f.name for f in fields(cls)), (), "config: ")
         kw = {}
         for key, value in obj.items():
-            if key not in known:
-                raise ValueError(f"config: unknown key {key!r}")
             if key in _INT_KEYS:
                 kw[key] = integer_from_json(f"config: {key}", value)
             elif key == "t":
                 kw[key] = _real(key, value)
             elif key == "rectangle":
-                kw[key] = _rectangle(value)
+                check_json_object(value, "rectangle", _RECTANGLE_KEYS, _RECTANGLE_KEYS,
+                                  "config: ")
+                kw[key] = {k: _real(f"rectangle.{k}", v) for k, v in value.items()}
             elif key == "fit_degree":
                 if not isinstance(value, list) or len(value) != 2:
                     raise ValueError(f"config: fit_degree must be a pair [L, M], "

@@ -161,9 +161,13 @@ class VExpDerivative:
         self.N = int(N)
         d = v.coeffs()
         w = np.zeros(d.size, dtype=np.complex128)
-        for j in range(min(self.N, v.degree) + 1):
-            w[: d.size] += comb(self.N, j) * self.t ** (self.N - j) * d
-            d = npp.polyder(d)
+        try:
+            for j in range(min(self.N, v.degree) + 1):
+                w[: d.size] += comb(self.N, j) * self.t ** (self.N - j) * d
+                d = npp.polyder(d)
+        except OverflowError as exc:  # float ** int raises where numpy gives inf
+            raise ValueError("bound evaluation overflowed at "
+                             f"t^{self.N}, t = {self.t}") from exc
         self.w = w
 
     def __call__(self, z):

@@ -119,6 +119,19 @@ def integer_from_json(name: str, value) -> int:
     return value
 
 
+def check_json_object(obj, where: str, known: tuple, required=(), prefix="") -> None:
+    """Refuse a decoded JSON value that is not an object, has a key outside
+    ``known`` or lacks one of ``required``, naming it ``where`` after ``prefix``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{prefix}{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{prefix}unknown {where} key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{prefix}{where} is missing {key!r}")
+
+
 def vector_to_json(v) -> dict:
     v = as_vector(v)
     return matrix_to_json(v.reshape(-1, 1))

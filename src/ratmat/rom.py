@@ -27,6 +27,7 @@ from .jets import FactoredPoly
 from .linalg import (
     EigenFactorization,
     as_vector,
+    check_json_object,
     eig_small,
     factorize,
     integer_from_json,
@@ -123,14 +124,14 @@ class PoleSpec:
         not an integer or a lambda that is not a [re, im] pair of finite
         numbers raises ValueError naming the key.
         """
-        _spec_keys(obj, "spec", ("kappa0", "poles", "chi0"), "kappa0")
+        check_json_object(obj, "spec", ("kappa0", "poles", "chi0"), ("kappa0",), _MALFORMED)
         raw = obj.get("poles", [])
         if not isinstance(raw, list):
             raise _malformed(f"poles must be a list, got {raw!r}")
         poles = []
         for i, p in enumerate(raw):
             where = f"poles[{i}]"
-            _spec_keys(p, where, ("lambda", "kappa", "chi"), "lambda")
+            check_json_object(p, where, ("lambda", "kappa", "chi"), ("lambda",), _MALFORMED)
             try:
                 re, im = p["lambda"]
                 lam = complex(re, im)
@@ -148,22 +149,15 @@ class PoleSpec:
                    _spec_integer("chi0", obj.get("chi0", 0)))
 
 
+_MALFORMED = "malformed pole specification: "
+
+
 def _malformed(what: str) -> ValueError:
-    return ValueError(f"malformed pole specification: {what}")
-
-
-def _spec_keys(obj, where: str, known: tuple, required: str) -> None:
-    if not isinstance(obj, dict):
-        raise _malformed(f"{where} must be an object, got {obj!r}")
-    for key in obj:
-        if key not in known:
-            raise _malformed(f"unknown {where} key {key!r}")
-    if required not in obj:
-        raise _malformed(f"{where} is missing {required!r}")
+    return ValueError(_MALFORMED + what)
 
 
 def _spec_integer(key: str, value) -> int:
-    return integer_from_json(f"malformed pole specification: {key}", value)
+    return integer_from_json(_MALFORMED + key, value)
 
 
 def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=None):
@@ -333,8 +327,7 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")
-    if model.spec.is_two_sided and d is None:
-        raise ValueError("two-sided bound needs the output vector d")
+    model.spec.check_output_vector(d)
     declared = model.spec.total()
     if model.order != declared:
         raise ValueError(

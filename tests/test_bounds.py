@@ -209,8 +209,12 @@ def test_bound_query_validation():
         BoundQuery(A, NodeList([0.0]), FactoredPoly([1.0], [1], 1.0))
     with pytest.raises(ValueError, match="interpolation node"):
         BoundQuery(A, NodeList([0.0]), FactoredPoly([0.0], [1], 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^s_samples must be at least 2, got 1$"):
         BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_samples=1)
+    with pytest.raises(ValueError, match="^mu_samples must be at least 1, got 0$"):
+        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), mu_samples=0)
+    with pytest.raises(ValueError, match="^t must be a finite number, got nan$"):
+        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), t=math.nan)
     bad = EigenFactorization(np.diag([1.0, 1e-13]), [1.0, 2.0])
     with pytest.raises(ValueError, match="unusable"):
         BoundQuery(bad, NodeList([0.0]), FactoredPoly((), (), 1.0))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,11 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import dense_krylov_vectors, taylor_expm
 from ratmat import cli
+from ratmat.bounds import BoundQuery
 from ratmat.cli import main
 from ratmat.experiment import ExperimentConfig, derive_poles
+from ratmat.interp import NodeList
+from ratmat.jets import FactoredPoly
 from ratmat.linalg import matrix_to_json, vector_to_json
 from ratmat.rom import (
     PoleSpec,
@@ -215,8 +221,11 @@ def test_bound_forms_no_inverse(tmp_path, capsys, monkeypatch):
 
 
 def test_bound_defective_matrix(tmp_path, capsys):
+    # a spec of 2 vectors fits the 3 x 3 Jordan block, so A's eigenbasis is
+    # what gets refused
     jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    args = _bound_args(tmp_path, jordan, np.ones(3), _fitted_spec())
+    spec = {"kappa0": 1, "poles": [{"lambda": [5.0, 0.0]}]}
+    args = _bound_args(tmp_path, jordan, np.ones(3), spec)
     assert main(args) == 1
     assert "unusable eigenbasis" in capsys.readouterr().err
 
@@ -239,7 +248,7 @@ def test_bound_non_finite_t(tmp_path, capsys, t):
     args = _bound_args(tmp_path, np.diag([0.3, -0.5]), [1.0, 2.0],
                        {"kappa0": 1}, extra=[f"--t={t}"])
     assert main(args) == 1
-    assert f"error: --t must be finite, got {float(t)}" in capsys.readouterr().err
+    assert f"error: t must be a finite number, got {float(t)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("b", [[1.0, 2.0], [0.0, 0.0]], ids=["b", "zero_b"])
@@ -250,7 +259,8 @@ def test_bound_grid_sizes_below_minimum(tmp_path, capsys, b, flag, least):
                        extra=[flag, str(least - 1)])
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert f"error: {flag} must be at least {least}, got {least - 1}" in err
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must be at least {least}, got {least - 1}" in err
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -293,7 +303,7 @@ _RECT = {"re_min": -1.0, "re_max": 0.0, "im_min": -1.0, "im_max": 1.0}
     ({"fit_degree": [9, "8"]}, "fit_degree"),
     ({"outdir": 5}, "outdir"),
     ({"trails": 3, "n": 32}, "'trails'"),
-    ([16], "JSON object"),
+    ([16], "config must be an object"),
     ({"boundary_nodes": 18}, "'boundary_nodes'"),
     ({"fit_degree": [-1, 2]}, "fit_degree must be two non-negative degrees, got [-1, 2]"),
     ({"fit_degree": [9, -2]}, "fit_degree must be two non-negative degrees, got [9, -2]"),
@@ -394,6 +404,66 @@ def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, name
     assert "Traceback" not in err
 
 
+def test_run_refuses_an_oversized_grid_before_the_first_draw(tmp_path, capsys,
+                                                             monkeypatch):
+    """The config refuses s_samples = 2**63 + 1; it used to pass until the
+    first trial had drawn S and factored it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("xp run drew S before checking the grid sizes")
+
+    monkeypatch.setattr("ratmat.experiment.draw_eigenvectors", refuse)
+    cfg = _dump(tmp_path, "cfg.json", {"n": 16, "s_samples": 2 ** 63 + 1,
+                                       "outdir": str(tmp_path / "out")})
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == \
+        "error: config: s_samples is beyond numpy's index range\n"
+    assert not (tmp_path / "out").exists()
+
+
+_QUERY_A = np.diag([-1.0, -2.0 + 1j])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=st.floats(-4.0, 4.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+       s_samples=st.integers(-1, 3) | st.sampled_from([2 ** 63, 2 ** 63 + 1]),
+       mu_samples=st.integers(-1, 3) | st.sampled_from([2 ** 63, 2 ** 63 + 1]))
+def test_query_rules_are_the_same_at_every_entry_point(tmp_path, capsys, t, s_samples,
+                                                       mu_samples):
+    """A config, `xp bound`'s flags and a BoundQuery meet one rule set for
+    t and the grid sizes: the same verdict and, after each prefix, the same
+    message.  Accepted sizes stay small: a grid beyond physical memory is
+    refused by the two that build one, and not by the config."""
+    verdicts = []
+    for build in (
+        lambda: ExperimentConfig(t=t, s_samples=s_samples, mu_samples=mu_samples),
+        lambda: BoundQuery(_QUERY_A, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t,
+                           s_samples=s_samples, mu_samples=mu_samples),
+    ):
+        try:
+            build()
+            verdicts.append(None)
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    args = _bound_args(tmp_path, _QUERY_A, [1.0, 2.0], {"kappa0": 1},
+                       extra=[f"--t={t!r}", f"--s-samples={s_samples}",
+                              f"--mu-samples={mu_samples}"])
+    code = main(args)
+    err = capsys.readouterr().err
+    verdicts.append(None if code == 0 else err.removeprefix("error: ").rstrip("\n"))
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+def test_bound_t_whose_power_overflows_exits_cleanly(tmp_path, capsys):
+    """t = 1e120 is finite, but t^3 in the jet of a 3-node bound is beyond
+    the float range: one error line, not an OverflowError's traceback."""
+    spec = {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0]}, {"lambda": [4.0, 0.0]}]}
+    args = _bound_args(tmp_path, np.diag([-1.0, -2.0 + 1j, -0.5 - 2j]), [1.0] * 3, spec,
+                       extra=["--t=1e120"])
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: bound evaluation overflowed at t^3, t = 1e+120\n"
+
+
 @pytest.mark.parametrize("target, named", [
     ("A", "A: entry 0 is out of the float range"),
     ("b", "b: entry 0 is out of the float range"),
@@ -417,7 +487,8 @@ def test_bound_out_of_range_number_exits_cleanly(tmp_path, capsys, target, named
 
 
 _SYSTEMS = {"": (np.array([[-1.0]]), [1.0]), "-zero_b": (np.array([[-1.0]]), [0.0]),
-            "-empty_A": (np.zeros((0, 0)), [])}
+            "-empty_A": (np.zeros((0, 0)), []),
+            "-order3": (np.diag([-1.0, -2.0 + 1j, -0.5 - 2j]), [1.0, 2.0, 3.0])}
 _TOO_MANY = [{"kappa0": _HUGE},
              {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": _HUGE}]}]
 
@@ -426,9 +497,14 @@ _TOO_MANY = [{"kappa0": _HUGE},
     pytest.param(spec, *system, id=f"spec{i}{name}")
     for name, system in _SYSTEMS.items() for i, spec in enumerate(_TOO_MANY)
 ])
-def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, spec, A, b):
-    """Refused before any Krylov vector is built (this ran until killed),
-    also when b = 0 makes e1 zero; both printed e1 = 0 for b = 0."""
+def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, monkeypatch,
+                                                   spec, A, b):
+    """Refused before A is factorized (this ran until killed), also when
+    b = 0 makes e1 zero; both printed e1 = 0 for b = 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("xp bound factorized A before checking the spec")
+
+    monkeypatch.setattr(cli, "factorize", refuse)
     assert main(_bound_args(tmp_path, A, b, spec)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

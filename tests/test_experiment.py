@@ -31,8 +31,15 @@ def test_config_validation():
                                     "im_min": -1.0, "im_max": 1.0})
     with pytest.raises(ValueError, match="reduced order"):
         ExperimentConfig(n=8)
-    with pytest.raises(ValueError, match="grid sizes"):
+    with pytest.raises(ValueError, match="^mu_samples must be at least 1, got 0$"):
         ExperimentConfig(mu_samples=0)
+    # a config built in Python meets the rules a JSON one does, at construction
+    with pytest.raises(ValueError, match="^t must be a finite number, got nan$"):
+        ExperimentConfig(t=float("nan"))
+    nan_edge = {"re_min": float("nan"), "re_max": 0.0, "im_min": -1.0, "im_max": 1.0}
+    with pytest.raises(ValueError,
+                       match=r"^rectangle\.re_min must be a finite number, got nan$"):
+        ExperimentConfig(rectangle=nan_edge)
 
 
 def test_config_json_round_trip():

@@ -405,7 +405,7 @@ def test_arnoldi_bound_covers_true_error_two_sided():
     V, kept = build_krylov_basis(A, b, spec, d=d)
     assert len(kept) == spec.total()
     model = reduce(A, b, V, d=d, spec=spec)
-    with pytest.raises(ValueError, match="two-sided bound needs the output vector d"):
+    with pytest.raises(ValueError, match="two-sided basis needs the output vector d"):
         arnoldi_error_bound(model, A, b)
     exact = complex(d.conj() @ (taylor_expm(A) @ b))
     e0 = abs(exact - impulse_reduced(model, 1.0))
