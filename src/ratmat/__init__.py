@@ -32,7 +32,6 @@ from .interp import (
 from .jets import (
     ExpJet,
     FactoredPoly,
-    ProductJet,
     VExpDerivative,
 )
 from .linalg import (

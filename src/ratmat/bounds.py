@@ -23,7 +23,8 @@ from .geometry import convex_hull, hull_boundary_samples
 from .interp import CONFLUENCE_TOL, NodeList
 from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
-from .linalg import as_vector, eig_small, factorize, require_memory  # noqa: F401
+from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
+                     factorize, require_memory)
 
 
 @dataclass
@@ -45,9 +46,12 @@ class BoundResult:
         }
 
 
-def check_query(t, s_samples: int, mu_samples: int) -> None:
+def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
     """Refuse, before any work, a query no grid answers: t must be finite, s_samples
-    must be at least 2 (the endpoints), mu_samples must be at least 1, both indexable."""
+    must be at least 2 (the endpoints), mu_samples must be at least 1, both indexable,
+    and the grid's tables must fit in physical memory for an A of order n, a
+    denominator of degree K - 1 and at most ``nodes`` distinct nodes.  Returns
+    the tables' bytes."""
     if not isfinite(t):
         raise ValueError(f"t must be a finite number, got {t}")
     for name, size, least in (("s_samples", s_samples, 2), ("mu_samples", mu_samples, 1)):
@@ -55,6 +59,14 @@ def check_query(t, s_samples: int, mu_samples: int) -> None:
             raise ValueError(f"{name} must be at least {least}, got {size}")
         if size > np.iinfo(np.intp).max:  # building the grid would overflow
             raise ValueError(f"{name} is beyond numpy's index range")
+    # the peak of the grid's evaluation in bytes: the mu points (the hull's
+    # vertices are distinct nodes, so n_mu bounds mu_grid's count), three
+    # n_s n_mu arrays (a, e^(ta), a temporary), two n_s n_mu K (C and the
+    # Taylor array, or C and G C) and three n_s K n (X, Y and conj(Y))
+    n_mu = max(mu_samples, nodes)
+    grid_bytes = 16 * (n_mu + s_samples * (n_mu * (3 + 2 * K) + 3 * K * n))
+    require_memory(grid_bytes, f"the {s_samples} x {n_mu} grid is too big: its tables")
+    return grid_bytes
 
 
 def mu_grid(points, count: int):
@@ -78,7 +90,9 @@ class BoundQuery:
 
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
                  s_samples: int = 11, mu_samples: int = 50):
-        check_query(t, s_samples, mu_samples)
+        order = A.order if isinstance(A, EigenFactorization) else np.shape(A)[0]
+        self.grid_bytes = check_query(t, s_samples, mu_samples, order, v.degree + 1,
+                                      nodes.reps.size)
         self.fac = factorize(A)
         self.nodes = nodes
         self.v = v
@@ -97,15 +111,6 @@ class BoundQuery:
             raise ValueError("denominator vanishes at an interpolation node")
         self.weights = self.omega(ev) / v_at_ev
 
-        # the peak of the grid's evaluation in bytes: the mu points (the hull's
-        # vertices are distinct nodes, so n_mu bounds mu_grid's count), three
-        # n_s n_mu arrays (a, e^(ta), a temporary), two n_s n_mu K (C and the
-        # Taylor array, or C and G C) and three n_s K n (X, Y and conj(Y))
-        n_mu = max(mu_samples, nodes.reps.size)
-        K, n = v.degree + 1, self.fac.order
-        self.grid_bytes = 16 * (n_mu + s_samples * (n_mu * (3 + 2 * K) + 3 * K * n))
-        require_memory(self.grid_bytes,
-                       f"the {s_samples} x {n_mu} grid is too big: its tables")
         _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
         self._tables_cache = None

@@ -53,8 +53,11 @@ def bound_cmd(args) -> int:
     for name, x in (("b", b), ("d", d)):
         if x is not None and x.size != A.shape[0]:
             raise ValueError(f"{name} has length {x.size}, A has order {A.shape[0]}")
-    check_query(args.t, args.s_samples, args.mu_samples)
-    spec.check_basis(A.shape[0], d)  # before A is factorized, for every b
+    # before A is factorized, for every b; the spec's vector count, at most
+    # the order once check_basis passes, bounds the reduced order and the nodes
+    spec.check_basis(A.shape[0], d)
+    check_query(args.t, args.s_samples, args.mu_samples, A.shape[0],
+                spec.denominator().degree + 1, spec.total())
 
     if np.linalg.norm(b) == 0.0:  # e1 is 0
         zero = BoundResult(0.0, 0.0, 0j, args.s_samples, args.mu_samples)

@@ -85,6 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"L + M must be odd for a [{L}/{M}] fit: its L + M + 1 "
                              "nodes split evenly over two rectangle edges")
         r = self.rectangle
+        check_json_object(r, "rectangle", _RECTANGLE_KEYS, _RECTANGLE_KEYS)
         for key in _RECTANGLE_KEYS:
             if not math.isfinite(r[key]):
                 raise ValueError(f"rectangle.{key} must be a finite number, got {r[key]}")
@@ -92,7 +93,8 @@ class ExperimentConfig:
             raise ValueError("degenerate rectangle")
         if self.n < 1 + M:
             raise ValueError(f"n must be at least the reduced order {1 + M}")
-        check_query(self.t, self.s_samples, self.mu_samples)
+        # a trial's reduction has 1 + M vectors and a degree-M denominator
+        check_query(self.t, self.s_samples, self.mu_samples, self.n, M + 1, M + 1)
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
@@ -109,10 +111,9 @@ class ExperimentConfig:
                 kw[key] = integer_from_json(f"config: {key}", value)
             elif key == "t":
                 kw[key] = _real(key, value)
-            elif key == "rectangle":
-                check_json_object(value, "rectangle", _RECTANGLE_KEYS, _RECTANGLE_KEYS,
-                                  "config: ")
-                kw[key] = {k: _real(f"rectangle.{k}", v) for k, v in value.items()}
+            elif key == "rectangle":  # its keys are the constructor's to check
+                kw[key] = ({k: _real(f"rectangle.{k}", v) for k, v in value.items()}
+                           if isinstance(value, dict) else value)
             elif key == "fit_degree":
                 if not isinstance(value, list) or len(value) != 2:
                     raise ValueError(f"config: fit_degree must be a pair [L, M], "

@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .jets import FactoredPoly, ProductJet
+from .jets import FactoredPoly
 from .linalg import as_vector
 
 # Nodes closer than this, relative to max(1, max |z|), are one confluent node.
@@ -120,20 +120,6 @@ class NewtonForm:
             p = c[j] + (z - w[j]) * p
         return p
 
-    def eval(self, z, order: int):
-        """Jet of p at z via nested multiplication carried on derivatives."""
-        z = np.asarray(z, dtype=np.complex128)
-        w = self.nodes.nodes
-        c = self.coefficients
-        jet = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        jet[0] = c[-1]
-        for j in range(c.size - 2, -1, -1):
-            shifted = z - w[j]
-            for k in range(order, 0, -1):
-                jet[k] = shifted * jet[k] + k * jet[k - 1]
-            jet[0] = c[j] + shifted * jet[0]
-        return jet
-
     def power_coeffs(self) -> np.ndarray:
         """Ascending power-basis coefficients of the same polynomial."""
         w = self.nodes.nodes
@@ -176,8 +162,8 @@ class RationalInterpolant:
 def rational_interpolate_fixed_denominator(
     f, nodes: NodeList, denominator: FactoredPoly
 ) -> RationalInterpolant:
-    """Interpolate f by u/v with v fixed: u interpolates the product v*f."""
-    u = hermite_interpolate(ProductJet(denominator, f), nodes)
+    """Interpolate the jet f by u/v with v fixed: u interpolates f.times(v), v*f."""
+    u = hermite_interpolate(f.times(denominator), nodes)
     return RationalInterpolant(u, denominator, nodes)
 
 
@@ -189,7 +175,7 @@ def remainder_scalar(f, r: RationalInterpolant, z: complex) -> complex:
         raise ValueError("denominator vanishes at evaluation point")
     omega = r.nodes.omega()
     ext = r.nodes.append(z)
-    dd = divided_differences(ProductJet(v, f), ext)[-1]
+    dd = divided_differences(f.times(v), ext)[-1]
     return complex(omega(np.asarray(z))) / vz * complex(dd)
 
 

@@ -6,10 +6,14 @@ A jet function exposes ``eval(z, order)`` returning the stack
 
 as an array of shape ``(order+1,) + shape(z)``; ``z`` may be a scalar or any
 ndarray.  Derivatives are raw (not divided by factorials).  Implementations
-must be vectorized over ``z``.  The jets here are exp (ExpJet), a polynomial
-kept in factored form (FactoredPoly) and the Leibniz product of two jets
-(ProductJet); VExpDerivative is the one derivative the bound needs,
-(v e^(t.))^(N), in closed form.
+must be vectorized over ``z``, and ``times(p)`` gives the jet of p f for a
+FactoredPoly p, which is how interpolation forms v f.
+
+Every f the library evaluates is e^(t.), so one jet serves it: ExpJet(t, v)
+is v e^(t.) for a polynomial v kept in factored form (FactoredPoly), with
+the closed form (v e^(t.))^(j) = e^(t.) w_j.  VExpDerivative is the one
+derivative the bound needs, (v e^(t.))^(N), with the Taylor coefficients of
+w_N that its grid takes in place of calls.
 """
 
 from __future__ import annotations
@@ -22,22 +26,6 @@ import numpy.polynomial.polynomial as npp
 
 def _as_points(z):
     return np.asarray(z, dtype=np.complex128)
-
-
-class ExpJet:
-    """f(z) = e^(t z); every derivative is t^k e^(t z)."""
-
-    def __init__(self, t: float = 1.0):
-        self.t = float(t)
-
-    def __call__(self, z):
-        return np.exp(self.t * _as_points(z))
-
-    def eval(self, z, order: int):
-        z = _as_points(z)
-        base = np.exp(self.t * z)
-        powers = self.t ** np.arange(order + 1)
-        return powers.reshape((order + 1,) + (1,) * z.ndim) * base[np.newaxis]
 
 
 class FactoredPoly:
@@ -61,7 +49,6 @@ class FactoredPoly:
         self.scale = complex(scale)
         if self.scale == 0:
             raise ValueError("zero scale makes the polynomial identically zero")
-        self._deriv_coeffs: list[np.ndarray] | None = None
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "FactoredPoly":
@@ -89,6 +76,10 @@ class FactoredPoly:
         c = npp.polyfromroots(self.expanded_roots()) * self.scale
         return c.astype(np.complex128)
 
+    def __mul__(self, other: "FactoredPoly") -> "FactoredPoly":
+        return FactoredPoly(np.concatenate((self.roots, other.roots)),
+                            np.concatenate((self.mults, other.mults)), self.scale * other.scale)
+
     def __call__(self, z):
         z = _as_points(z)
         out = np.full(z.shape, self.scale, dtype=np.complex128)
@@ -97,86 +88,66 @@ class FactoredPoly:
         return out
 
     def eval(self, z, order: int):
-        z = _as_points(z)
-        if self._deriv_coeffs is None:
-            self._deriv_coeffs = [self.coeffs()]
-        while len(self._deriv_coeffs) <= order:
-            prev = self._deriv_coeffs[-1]
-            self._deriv_coeffs.append(
-                npp.polyder(prev) if prev.size > 1 else np.zeros(0)
-            )
-        rows = [self(z)]
-        for j in range(1, order + 1):
-            c = self._deriv_coeffs[j]
-            rows.append(npp.polyval(z, c) if c.size else np.zeros_like(z))
-        return np.stack(rows)
+        return ExpJet(0.0, self).eval(z, order)  # at t = 0, w_j is v^(j)
 
 
-class ProductJet:
-    """Jet of a product f*g via the Leibniz rule."""
+class ExpJet:
+    """f(z) = v(z) e^(t z), with v = 1 when omitted.
 
-    def __init__(self, f, g):
-        self.f, self.g = f, g
-
-    def __call__(self, z):
-        return self.f(z) * self.g(z)
-
-    def eval(self, z, order: int):
-        F = self.f.eval(z, order)
-        G = self.g.eval(z, order)
-        return jet_product(F, G)
-
-
-def jet_product(F, G):
-    """Leibniz combination of two derivative stacks of equal order."""
-    F = np.asarray(F)
-    G = np.asarray(G)
-    if F.shape != G.shape:
-        raise ValueError("jet stacks must have matching shapes")
-    n = F.shape[0] - 1
-    H = np.empty_like(F)
-    for m in range(n + 1):
-        acc = np.zeros(F.shape[1:], dtype=np.complex128)
-        for k in range(m + 1):
-            acc += comb(m, k) * F[k] * G[m - k]
-        H[m] = acc
-    return H
-
-
-class VExpDerivative:
-    """The N-th derivative of z -> v(z) e^(t z) in closed form.
-
-    (v exp_t)^(N)(z) = e^(t z) w(z) with the single polynomial
-    w = sum_{j<=min(N, deg v)} C(N,j) t^(N-j) v^(j) of degree deg v.  The
-    coefficients of w are precomputed here; a call is one Horner pass over z
-    times e^(t z), and ``taylor`` gives the coefficients of w shifted to a
-    point, which the bound grid uses in place of calls.  Vectorized over z.
+    The j-th derivative is e^(t z) w_j(z) with the single polynomial
+    w_j = sum_{i<=min(j, deg v)} C(j,i) t^(j-i) v^(i) of degree deg v.
     """
 
-    def __init__(self, v: FactoredPoly, t: float, N: int):
+    def __init__(self, t: float = 1.0, v: FactoredPoly | None = None):
+        self.t = float(t)
+        self.v = FactoredPoly() if v is None else v
+
+    def __call__(self, z):
+        z = _as_points(z)
+        return self.v(z) * np.exp(self.t * z)
+
+    def w(self, N: int) -> np.ndarray:
+        """Ascending coefficients of w_N; a power of t beyond the float
+        range is refused."""
         if N < 0:
             raise ValueError("derivative order must be >= 0")
-        self.v = v
-        self.t = float(t)
-        self.N = int(N)
-        d = v.coeffs()
+        d = self.v.coeffs()
         w = np.zeros(d.size, dtype=np.complex128)
         try:
-            for j in range(min(self.N, v.degree) + 1):
-                w[: d.size] += comb(self.N, j) * self.t ** (self.N - j) * d
+            for j in range(min(N, self.v.degree) + 1):
+                w[: d.size] += comb(N, j) * self.t ** (N - j) * d
                 d = npp.polyder(d)
         except OverflowError as exc:  # float ** int raises where numpy gives inf
             raise ValueError("bound evaluation overflowed at "
-                             f"t^{self.N}, t = {self.t}") from exc
-        self.w = w
+                             f"t^{N}, t = {self.t}") from exc
+        return w
+
+    def eval(self, z, order: int):
+        z = _as_points(z)
+        base = np.exp(self.t * z)
+        rows = [self.v(z) * base]
+        rows += [npp.polyval(z, self.w(j)) * base for j in range(1, order + 1)]
+        return np.stack(rows)
+
+    def times(self, p: FactoredPoly) -> "ExpJet":
+        return ExpJet(self.t, p * self.v)
+
+
+class VExpDerivative:
+    """The N-th derivative of z -> v(z) e^(t z): e^(t z) w with w = w_N of
+    ExpJet(t, v), precomputed here.
+
+    A call is one Horner pass over z times e^(t z), and ``taylor`` gives the
+    coefficients of w shifted to a point, which the bound grid uses in place
+    of calls.  Vectorized over z.
+    """
+
+    def __init__(self, v: FactoredPoly, t: float, N: int):
+        self.t = float(t)
+        self.w = ExpJet(t, v).w(int(N))
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.full(z.shape, self.w[-1], dtype=np.complex128)
-        for c in self.w[-2::-1]:
-            acc *= z
-            acc += c
-        return acc * np.exp(self.t * z)
+        return npp.polyval(_as_points(z), self.w) * np.exp(self.t * _as_points(z))
 
     def taylor(self, a):
         """Taylor coefficients of w at a: T[..., k] with w(a + x) = sum T_k x^k.

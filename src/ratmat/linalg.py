@@ -148,8 +148,9 @@ def require_memory(nbytes: int, what: str) -> None:
     """Refuse nbytes beyond the machine's physical memory, with the message
     "<what> need X GiB, more than the Y GiB of physical memory"."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > have:
-        raise ValueError(f"{what} need {nbytes / 2**30:.3g} GiB, more than the "
+    if nbytes > have:  # an integer beyond the float range needs inf GiB
+        need = nbytes / 2**30 if nbytes < 2**1024 else float("inf")
+        raise ValueError(f"{what} need {need:.3g} GiB, more than the "
                          f"{have / 2**30:.3g} GiB of physical memory")
 
 

@@ -4,13 +4,14 @@ Everything here deliberately avoids the library's own evaluation paths:
 matrix exponentials come from a scaled-and-squared Taylor sum, derivatives
 from difference stencils, p(A) and r(A) b from the matrix A itself by
 products and shifted LU solves, with u/v and Omega/v split into partial
-fractions here (by polynomial and quotient jets of this module), and the
-bound's (s, mu) grid from the jet at every point instead of the library's
-factored tables, or from the factored tables with every core vector formed
-instead of the library's Gram matrices.  Agreement between library and
-oracle is then a two-route check instead of a tautology.  The
-numerical-range box and its polygon helpers live here too: only the tests
-use them, to check where the reduced spectrum lies.
+fractions here (by polynomial and quotient jets of this module), the jet of
+a product by the Leibniz rule instead of the library's closed form for
+v e^(t.), and the bound's (s, mu) grid from the jet at every point instead
+of the library's factored tables, or from the factored tables with every
+core vector formed instead of the library's Gram matrices.  Agreement
+between library and oracle is then a two-route check instead of a
+tautology.  The numerical-range box and its polygon helpers live here too:
+only the tests use them, to check where the reduced spectrum lies.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,9 @@ class FunctionJet:
         return np.asarray(self.fns[0](np.asarray(z, dtype=np.complex128)),
                           dtype=np.complex128)
 
+    def times(self, p):
+        return ProductJet(p, self)
+
     def eval(self, z, order: int):
         if order >= len(self.fns):
             raise ValueError(
@@ -71,6 +75,52 @@ class FunctionJet:
         return np.stack(
             [np.asarray(fn(z), dtype=np.complex128) for fn in self.fns[: order + 1]]
         )
+
+
+class ProductJet:
+    """Jet of a product f*g via the Leibniz rule: the reference the
+    library's closed-form jet of v e^(t.) is checked against."""
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def __call__(self, z):
+        return self.f(z) * self.g(z)
+
+    def eval(self, z, order: int):
+        return jet_product(self.f.eval(z, order), self.g.eval(z, order))
+
+    def times(self, p):
+        return ProductJet(p, self)
+
+
+def jet_product(F, G):
+    """Leibniz combination of two derivative stacks of equal order."""
+    F = np.asarray(F)
+    G = np.asarray(G)
+    if F.shape != G.shape:
+        raise ValueError("jet stacks must have matching shapes")
+    n = F.shape[0] - 1
+    H = np.empty_like(F)
+    for m in range(n + 1):
+        acc = np.zeros(F.shape[1:], dtype=np.complex128)
+        for k in range(m + 1):
+            acc += comb(m, k) * F[k] * G[m - k]
+        H[m] = acc
+    return H
+
+
+def vexp_w_loop(v: FactoredPoly, t: float, N: int) -> np.ndarray:
+    """Coefficients of w with (v e^(t.))^(N) = e^(t.) w, by the loop that
+    ``VExpDerivative.__init__`` ran before the closed form moved to
+    ``ExpJet.w``: the bits the bound's grid is pinned to."""
+    t = float(t)
+    d = v.coeffs()
+    w = np.zeros(d.size, dtype=np.complex128)
+    for j in range(min(N, v.degree) + 1):
+        w[: d.size] += comb(N, j) * t ** (N - j) * d
+        d = npp.polyder(d)
+    return w
 
 
 def jet_divide(F, G):
@@ -137,7 +187,7 @@ def partial_fractions(omega_coeffs, v: FactoredPoly) -> PartialFractions:
         m = int(m)
         cof = restrict(v, pole)
         top = rem_jetter.eval(pole, m - 1)
-        bot = cof.eval(pole, m - 1)
+        bot = PolyJet(cof.coeffs()).eval(pole, m - 1)
         taylor = jet_divide(top, bot)
         fact = np.array([factorial(j) for j in range(m)])
         c = taylor / fact  # c_j = (rem/cof)^(j)(pole)/j!

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     FunctionJet,
+    ProductJet,
     bound_core_matrix,
     bound_grid_pointwise,
     bound_vector_tensor,
@@ -20,7 +21,7 @@ from oracles import (
 from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
-from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative
+from ratmat.jets import ExpJet, FactoredPoly, VExpDerivative
 from ratmat.linalg import EigenFactorization
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 

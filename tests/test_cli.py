@@ -395,6 +395,8 @@ _HUGE = 10 ** 400  # a JSON integer no float can hold
      "config: rectangle.re_min must be a finite number"),
     ({"n": 16, "mu_samples": _HUGE}, "mu_samples is beyond numpy's index range"),
     ({"n": 16, "s_samples": 2 ** 63 + 1}, "s_samples is beyond numpy's index range"),
+    # the grid's bytes are an integer beyond the float range
+    ({"n": _HUGE}, "config: the 11 x 50 grid is too big: its tables need inf GiB"),
 ])
 def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, named):
     cfg = _dump(tmp_path, "cfg.json", config)
@@ -431,8 +433,7 @@ def test_query_rules_are_the_same_at_every_entry_point(tmp_path, capsys, t, s_sa
                                                        mu_samples):
     """A config, `xp bound`'s flags and a BoundQuery meet one rule set for
     t and the grid sizes: the same verdict and, after each prefix, the same
-    message.  Accepted sizes stay small: a grid beyond physical memory is
-    refused by the two that build one, and not by the config."""
+    message.  Accepted sizes stay small, so no grid is beyond physical memory."""
     verdicts = []
     for build in (
         lambda: ExperimentConfig(t=t, s_samples=s_samples, mu_samples=mu_samples),
@@ -534,9 +535,17 @@ def test_bound_huge_mu_samples_fails_at_one_allocation(tmp_path, capsys):
     assert err.startswith("error: ") and "too big" in err
 
 
-def test_grid_beyond_physical_memory_is_refused(tmp_path, capsys):
+def test_grid_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch):
     """10**9 mu samples: the 11 x 10**9 grid's tables would take most of a
-    TiB, so both commands print one error line before allocating them."""
+    TiB, so both commands print one error line before allocating them, and
+    before any O(n^3) step: `xp bound` before it factorizes A (it used to
+    factorize A, build the basis and reduce first), `xp run` when it reads
+    the config."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid's size was checked after O(n^3) work")
+
+    monkeypatch.setattr(cli, "factorize", refuse)
+    monkeypatch.setattr(cli, "run_experiment", refuse)
     spec = {"kappa0": 1, "poles": [{"lambda": [x, 0.0]} for x in (3.0, 4.0, 5.0)]}
     bound = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),
                         [1.0] * 4, spec, extra=["--mu-samples=1000000000"])
@@ -552,7 +561,8 @@ def test_grid_beyond_physical_memory_is_refused(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: the 11 x 1000000000 grid")
+        prefix = "error: config: " if args is run else "error: "
+        assert len(lines) == 1 and lines[0].startswith(f"{prefix}the 11 x 1000000000 grid")
         assert "GiB of physical memory" in lines[0]
         assert peak < 2 ** 24
     assert not (tmp_path / "out").exists()

@@ -42,6 +42,28 @@ def test_config_validation():
         ExperimentConfig(rectangle=nan_edge)
 
 
+def test_config_rectangle_without_a_bound_names_it():
+    """A rectangle built in Python without one of its four bounds raised a
+    KeyError; the constructor names the key, as from_json does."""
+    edges = {"re_min": -1.0, "re_max": 0.0, "im_min": -1.0}
+    with pytest.raises(ValueError, match="^rectangle is missing 'im_max'$"):
+        ExperimentConfig(rectangle=edges)
+    with pytest.raises(ValueError, match="^config: rectangle is missing 'im_max'$"):
+        ExperimentConfig.from_json({"rectangle": edges})
+    with pytest.raises(ValueError, match="^unknown rectangle key 're_mid'$"):
+        ExperimentConfig(rectangle={**edges, "im_max": 1.0, "re_mid": 0.0})
+    with pytest.raises(ValueError, match=r"^rectangle must be an object, got \[0, 1\]$"):
+        ExperimentConfig(rectangle=[0, 1])
+
+
+def test_config_refuses_a_grid_beyond_physical_memory():
+    """The e1 grid's tables are counted when the config is built: 10**9 mu
+    samples need most of a TiB."""
+    with pytest.raises(ValueError, match=r"^the 11 x 1000000000 grid is too big: its "
+                                         r"tables need .* GiB of physical memory$"):
+        ExperimentConfig(n=16, mu_samples=10 ** 9)
+
+
 def test_config_json_round_trip():
     config = ExperimentConfig(n=32, trials=7, seed=5, outdir="elsewhere",
                               mu_samples=40, s_samples=9, t=0.5)

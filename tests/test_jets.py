@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from oracles import (
     FunctionJet,
     PolyJet,
+    ProductJet,
     central_difference,
     jet_divide,
+    jet_product,
     restrict,
     taylor_row_major,
 )
-from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative, jet_product
+from ratmat.jets import ExpJet, FactoredPoly, VExpDerivative
 
 
 def test_exp_jet_values_and_shape():
@@ -56,6 +58,39 @@ def test_factored_poly_from_coeffs_round_trip():
     assert const.degree == 0 and const(np.array([9.0]))[0] == 4.0
     with pytest.raises(ValueError):
         FactoredPoly.from_coeffs([0.0, 0.0])
+
+
+@given(roots=st.lists(st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                      max_size=4),
+       scale=st.builds(complex, st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
+       z=st.lists(st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                  min_size=1, max_size=5),
+       extra=st.integers(0, 3))
+def test_factored_poly_eval_is_the_expanded_jet(roots, scale, z, extra):
+    """FactoredPoly.eval, the t = 0 case of ExpJet, gives every derivative
+    of the expanded coefficients, up to and past the degree, bit for bit;
+    its value row is the factored product."""
+    v = FactoredPoly(roots, [1] * len(roots), scale)
+    z = np.array(z)
+    order = v.degree + extra
+    got = v.eval(z, order)
+    want = PolyJet(v.coeffs()).eval(z, order)
+    assert got.shape == (order + 1, z.size)
+    assert np.array_equal(got[0], v(z))
+    assert np.array_equal(got[1:], want[1:])
+    assert np.all(got[v.degree + 1:] == 0)
+
+
+def test_exp_jet_times_is_the_product():
+    """times(p) multiplies v by p in factored form: roots and
+    multiplicities concatenated, scales multiplied."""
+    p = FactoredPoly([1.0], [2], 3.0)
+    f = ExpJet(0.5, FactoredPoly([-2.0j], [1], 2.0)).times(p)
+    assert f.t == 0.5 and f.v.scale == 6.0
+    assert np.array_equal(f.v.roots, [1.0, -2.0j]) and np.array_equal(f.v.mults, [2, 1])
+    z = np.array([0.3 + 0.1j, -1.0])
+    assert np.allclose(f(z), 6.0 * (z - 1.0) ** 2 * (z + 2.0j) * np.exp(0.5 * z))
+    assert np.array_equal(ExpJet(0.5).times(p).v.roots, p.roots)
 
 
 def test_factored_poly_restrict():

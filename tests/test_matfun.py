@@ -4,12 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    FunctionJet,
+    PolyJet,
+    ProductJet,
     central_difference,
     matfun_via_factorization,
     poly_apply,
     random_diagonalizable,
     rational_apply,
     taylor_expm,
+    vexp_w_loop,
 )
 from ratmat.interp import (
     NewtonForm,
@@ -18,7 +22,7 @@ from ratmat.interp import (
     hermite_interpolate,
     rational_interpolate_fixed_denominator,
 )
-from ratmat.jets import ExpJet, FactoredPoly, ProductJet, VExpDerivative
+from ratmat.jets import ExpJet, FactoredPoly, VExpDerivative
 from ratmat.linalg import EigenFactorization, eig_small
 
 
@@ -180,29 +184,46 @@ _roots = st.builds(lambda r, phi: r * np.exp(1j * phi),
 _points = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 
 
-@given(
-    factors=st.lists(st.tuples(_roots, st.integers(1, 3)), max_size=4),
-    scale=st.builds(complex, st.floats(0.5, 2.0), st.floats(-1.0, 1.0)),
-    t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
-    offset=st.integers(-3, 3),
-    z=st.lists(_points, min_size=1, max_size=6),
-)
+_factors = st.lists(st.tuples(_roots, st.integers(1, 3)), max_size=4)
+_scales = st.builds(complex, st.floats(0.5, 2.0), st.floats(-1.0, 1.0))
+_times = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+def _poly(factors, scale) -> FactoredPoly:
+    return FactoredPoly([r for r, _ in factors], [m for _, m in factors], scale)
+
+
+@given(factors=_factors, scale=_scales, t=_times, offset=st.integers(-3, 3))
+def test_vexp_derivative_keeps_the_bits_of_its_loop(factors, scale, t, offset):
+    """w, which the bound grid takes its Taylor tables from, has the bits of
+    the loop VExpDerivative ran before the closed form moved to ExpJet.w;
+    N runs below, at and above deg v."""
+    v = _poly(factors, scale)
+    N = max(v.degree + offset, 0)
+    want = vexp_w_loop(v, t, N)
+    assert np.array_equal(VExpDerivative(v, t, N).w, want)
+    assert np.array_equal(ExpJet(t, v).w(N), want)
+
+
+@given(factors=_factors, scale=_scales, t=_times, offset=st.integers(-3, 3),
+       z=st.lists(_points, min_size=1, max_size=6))
 def test_vexp_derivative_matches_leibniz(factors, scale, t, offset, z):
-    """The precomputed w agrees with the Leibniz rule on v and e^(t.).
+    """The closed-form jet of v e^(t.), every row of it, agrees with the
+    Leibniz rule on the expanded v and e^(t.) given as derivative callables.
 
     N runs below, at and above deg v.  Both sides round differently, so
     they are compared relative to the same sum taken over the moduli of
     roots, scale, t and z, which bounds every term either side adds up.
     """
-    roots = [r for r, _ in factors]
-    mults = [m for _, m in factors]
-    v = FactoredPoly(roots, mults, scale)
+    v = _poly(factors, scale)
     N = max(v.degree + offset, 0)
     z = np.array(z)
-    got = VExpDerivative(v, t, N)(z)
-    want = ProductJet(v, ExpJet(t)).eval(z, N)[N]
+    exp_t = FunctionJet([lambda x, k=k: t ** k * np.exp(t * x) for k in range(N + 1)])
+    want = ProductJet(PolyJet(v.coeffs()), exp_t).eval(z, N)
     majorant = FactoredPoly(-np.abs(v.roots), v.mults, abs(v.scale))
-    size = ProductJet(majorant, ExpJet(abs(t))).eval(np.abs(z), N)[N].real
-    assert np.all(np.abs(got - want) <= 1e-13 * size)
+    size = ProductJet(majorant, ExpJet(abs(t))).eval(np.abs(z), N).real
+    assert np.all(np.abs(ExpJet(t, v).eval(z, N) - want) <= 1e-13 * size)
+    got = VExpDerivative(v, t, N)(z)
+    assert np.all(np.abs(got - want[N]) <= 1e-13 * size[N])
     if t == 0.0 and N > v.degree:
         assert np.all(got == 0)
