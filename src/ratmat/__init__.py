@@ -39,11 +39,9 @@ from .linalg import (
     eig_small,
     factorize,
     matrix_from_json,
-    matrix_to_json,
     mgs_orthonormalize,
     poly_roots,
     vector_from_json,
-    vector_to_json,
 )
 from .rom import (
     FinitePole,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -48,13 +49,16 @@ class BoundResult:
 
 def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
     """Refuse, before any work, a query no grid answers: t must be finite, s_samples
-    must be at least 2 (the endpoints), mu_samples must be at least 1, both indexable,
+    must be an integer of at least 2 (the endpoints), mu_samples an integer of at
+    least 1 (a bool is neither), both indexable,
     and the grid's tables must fit in physical memory for an A of order n, a
     denominator of degree K - 1 and at most ``nodes`` distinct nodes.  Returns
     the tables' bytes."""
     if not isfinite(t):
         raise ValueError(f"t must be a finite number, got {t}")
     for name, size, least in (("s_samples", s_samples, 2), ("mu_samples", mu_samples, 1)):
+        if isinstance(size, bool) or not isinstance(size, Integral):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
         if size < least:
             raise ValueError(f"{name} must be at least {least}, got {size}")
         if size > np.iinfo(np.intp).max:  # building the grid would overflow
@@ -113,7 +117,6 @@ class BoundQuery:
 
         _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
-        self._tables_cache = None
 
     # -- grid machinery ----------------------------------------------------
 
@@ -131,21 +134,19 @@ class BoundQuery:
         most 1.  The core matrix at (s_j, mu_m) is then
         S diag(weights/N! * sum_k C[j, m, k] X[j, k]) S^-1.
         """
-        if self._tables_cache is None:
-            t = self.vf_derivative.t
-            x = self.s_grid[:, np.newaxis] * self.fac.eigenvalues[np.newaxis, :]
-            sigma = (t * x.real).max(axis=1, keepdims=True)
-            a = (1.0 - self.s_grid)[:, np.newaxis] * self.mu_points[np.newaxis, :]
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                C = np.exp(t * a + sigma)[..., np.newaxis] * self.vf_derivative.taylor(a)
-                X = np.empty((x.shape[0], C.shape[2], x.shape[1]), dtype=np.complex128)
-                X[:, 0] = np.exp(t * x - sigma)
-                for k in range(1, X.shape[1]):
-                    X[:, k] = X[:, k - 1] * x
-            if not (np.all(np.isfinite(C)) and np.all(np.isfinite(X))):
-                raise ValueError("bound evaluation overflowed; check poles vs spectrum")
-            self._tables_cache = (C, X)
-        return self._tables_cache
+        t = self.vf_derivative.t
+        x = self.s_grid[:, np.newaxis] * self.fac.eigenvalues[np.newaxis, :]
+        sigma = (t * x.real).max(axis=1, keepdims=True)
+        a = (1.0 - self.s_grid)[:, np.newaxis] * self.mu_points[np.newaxis, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            C = np.exp(t * a + sigma)[..., np.newaxis] * self.vf_derivative.taylor(a)
+            X = np.empty((x.shape[0], C.shape[2], x.shape[1]), dtype=np.complex128)
+            X[:, 0] = np.exp(t * x - sigma)
+            for k in range(1, X.shape[1]):
+                X[:, k] = X[:, k - 1] * x
+        if not (np.all(np.isfinite(C)) and np.all(np.isfinite(X))):
+            raise ValueError("bound evaluation overflowed; check poles vs spectrum")
+        return C, X
 
     def _fold(self, y: np.ndarray) -> np.ndarray:
         """y scaled by the per-eigenvalue weights Omega(nu)/v(nu)/N!."""

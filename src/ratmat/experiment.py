@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,21 +46,28 @@ MAX_REDRAWS = 10
 # n = 181).
 DRAW_BLOCK = 1 << 15
 
-_INT_KEYS = ("n", "trials", "mu_samples", "s_samples", "seed")
 _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
 
 
-def _real(key: str, value) -> float:
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"config: {key} must be a finite number, got {value!r}")
+def _real(name: str, value) -> float:
+    """value as a finite float; anything else raises ValueError naming ``name``."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(x := float(value))):
+            return x
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's inputs.  The constructor converts each field (an int
+    field by integer_from_json, t and the rectangle's bounds to finite
+    floats) and checks its range, check_query's rules included: a refusal
+    is a ValueError naming the field, before any draw of S.
+    """
+
     n: int = 256
     trials: int = 100
     rectangle: dict = field(
@@ -76,7 +84,19 @@ class ExperimentConfig:
     outdir: str = "xp_out"
 
     def __post_init__(self):
-        L, M = self.fit_degree
+        for f in fields(self):  # the fields declared int
+            if f.type == "int":
+                setattr(self, f.name, integer_from_json(f.name, getattr(self, f.name)))
+        self.t = _real("t", self.t)
+        r = self.rectangle
+        if isinstance(r, dict):  # its keys are checked below
+            r = self.rectangle = {k: _real(f"rectangle.{k}", v) for k, v in r.items()}
+        if not isinstance(self.fit_degree, (list, tuple)) or len(self.fit_degree) != 2:
+            raise ValueError(f"fit_degree must be a pair [L, M], got {self.fit_degree!r}")
+        L, M = self.fit_degree = tuple(integer_from_json("fit_degree", x)
+                                       for x in self.fit_degree)
+        if not isinstance(self.outdir, str):
+            raise ValueError(f"outdir must be a string, got {self.outdir!r}")
         if L < 0 or M < 0:
             raise ValueError(f"fit_degree must be two non-negative degrees, got [{L}, {M}]")
         if self.trials < 1:
@@ -84,11 +104,7 @@ class ExperimentConfig:
         if (L + M) % 2 == 0:
             raise ValueError(f"L + M must be odd for a [{L}/{M}] fit: its L + M + 1 "
                              "nodes split evenly over two rectangle edges")
-        r = self.rectangle
         check_json_object(r, "rectangle", _RECTANGLE_KEYS, _RECTANGLE_KEYS)
-        for key in _RECTANGLE_KEYS:
-            if not math.isfinite(r[key]):
-                raise ValueError(f"rectangle.{key} must be a finite number, got {r[key]}")
         if r["re_max"] <= r["re_min"] or r["im_max"] <= r["im_min"]:
             raise ValueError("degenerate rectangle")
         if self.n < 1 + M:
@@ -100,42 +116,17 @@ class ExperimentConfig:
     def from_json(cls, obj) -> "ExperimentConfig":
         """Config from a decoded JSON object; absent keys keep their default.
 
-        An unknown key, a value of the wrong type, a rectangle without
-        exactly its four bounds, a fit_degree that is not a pair or a value
-        the constructor refuses raises ValueError, "config: " and the key.
+        An unknown key, or a value the constructor refuses, raises
+        ValueError with the constructor's message after "config: ".
         """
         check_json_object(obj, "config", tuple(f.name for f in fields(cls)), (), "config: ")
-        kw = {}
-        for key, value in obj.items():
-            if key in _INT_KEYS:
-                kw[key] = integer_from_json(f"config: {key}", value)
-            elif key == "t":
-                kw[key] = _real(key, value)
-            elif key == "rectangle":  # its keys are the constructor's to check
-                kw[key] = ({k: _real(f"rectangle.{k}", v) for k, v in value.items()}
-                           if isinstance(value, dict) else value)
-            elif key == "fit_degree":
-                if not isinstance(value, list) or len(value) != 2:
-                    raise ValueError(f"config: fit_degree must be a pair [L, M], "
-                                     f"got {value!r}")
-                kw[key] = tuple(integer_from_json("config: fit_degree", x) for x in value)
-            elif not isinstance(value, str):  # outdir, the one string key
-                raise ValueError(f"config: outdir must be a string, got {value!r}")
-            else:
-                kw[key] = value
         try:
-            return cls(**kw)
-        except ValueError as exc:  # a value __post_init__ refuses
+            return cls(**obj)
+        except ValueError as exc:
             raise ValueError(f"config: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "trials": self.trials,
-            "rectangle": dict(self.rectangle),
-            "fit_degree": list(self.fit_degree),
-            "mu_samples": self.mu_samples, "s_samples": self.s_samples,
-            "t": self.t, "seed": self.seed, "outdir": self.outdir,
-        }
+        return {**asdict(self), "fit_degree": list(self.fit_degree)}
 
 
 @dataclass

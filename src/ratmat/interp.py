@@ -51,9 +51,6 @@ class NodeList:
     def __len__(self) -> int:
         return self.nodes.size
 
-    def __iter__(self):
-        return iter(self.nodes)
-
     def omega(self) -> FactoredPoly:
         """Node polynomial prod (z - z_k) over all nodes with multiplicity."""
         return FactoredPoly(self.reps, self.mults, 1.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import numbers
 import os
 import threading
 from contextlib import contextmanager
@@ -74,12 +75,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matrix_to_json(m) -> dict:
-    m = as_matrix(m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
-
-
 def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
@@ -110,13 +105,13 @@ def matrix_from_json(obj, name: str = "matrix") -> np.ndarray:
 
 
 def integer_from_json(name: str, value) -> int:
-    """A decoded JSON integer; an integral float such as 64.0 is accepted,
-    a bool, a string or a fraction raises ValueError naming ``name``."""
+    """value as an int; an integral float such as 64.0 or a numpy integer is
+    accepted, a bool, a string or a fraction raises ValueError naming ``name``."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def check_json_object(obj, where: str, known: tuple, required=(), prefix="") -> None:
@@ -130,11 +125,6 @@ def check_json_object(obj, where: str, known: tuple, required=(), prefix="") -> 
     for key in required:
         if key not in obj:
             raise ValueError(f"{prefix}{where} is missing {key!r}")
-
-
-def vector_to_json(v) -> dict:
-    v = as_vector(v)
-    return matrix_to_json(v.reshape(-1, 1))
 
 
 def vector_from_json(obj, name: str = "vector") -> np.ndarray:

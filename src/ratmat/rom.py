@@ -14,6 +14,7 @@ applied by solves with the LU of S, and neither A nor S^-1 is formed.
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,9 @@ class FinitePole:
     chi: int = 0
 
     def __post_init__(self):
-        if self.kappa < 0 or self.chi < 0:
-            raise ValueError("multiplicities must be nonnegative")
+        if not (isinstance(self.lam, numbers.Number) and cmath.isfinite(self.lam)):
+            raise ValueError(f"lambda must be a finite number, got {self.lam!r}")
+        _multiplicities(self, "kappa", "chi")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class PoleSpec:
     """Pole structure of the rational Krylov space.
 
     kappa0 counts the power vectors b, Ab, ... (the pole at infinity);
-    chi0 is its dual multiplicity for the two-sided variant.
+    chi0 is its dual multiplicity for the two-sided variant.  Each
+    multiplicity is a non-negative integer and each pole a FinitePole.
     """
 
     kappa0: int
@@ -64,9 +67,10 @@ class PoleSpec:
     chi0: int = 0
 
     def __post_init__(self):
-        if self.kappa0 < 0 or self.chi0 < 0:
-            raise ValueError("multiplicities must be nonnegative")
+        _multiplicities(self, "kappa0", "chi0")
         object.__setattr__(self, "poles", tuple(self.poles))
+        if not all(isinstance(p, FinitePole) for p in self.poles):
+            raise ValueError(f"poles must be FinitePole instances, got {self.poles!r}")
         lams = [p.lam for p in self.poles]
         if len(set(lams)) != len(lams):
             raise ValueError("finite poles must be distinct")
@@ -100,19 +104,17 @@ class PoleSpec:
         return FactoredPoly([p.lam for p in poles], [p.kappa + p.chi for p in poles], 1.0)
 
     def to_json(self) -> dict:
+        # the constructors hold every multiplicity as an int
         out = {
-            "kappa0": int(self.kappa0),
+            "kappa0": self.kappa0,
             "poles": [
-                {
-                    "lambda": [float(p.lam.real), float(p.lam.imag)],
-                    "kappa": int(p.kappa),
-                    "chi": int(p.chi),
-                }
+                {"lambda": [float(p.lam.real), float(p.lam.imag)],
+                 "kappa": p.kappa, "chi": p.chi}
                 for p in self.poles
             ],
         }
         if self.chi0:
-            out["chi0"] = int(self.chi0)
+            out["chi0"] = self.chi0
         return out
 
     @classmethod
@@ -120,9 +122,10 @@ class PoleSpec:
         """Spec from a decoded JSON object; a pole's kappa defaults to 1,
         its chi and chi0 to 0.
 
-        A missing kappa0 or lambda, an unknown key, a multiplicity that is
-        not an integer or a lambda that is not a [re, im] pair of finite
-        numbers raises ValueError naming the key.
+        A missing kappa0 or lambda, an unknown key or a lambda that is not
+        a [re, im] pair of finite numbers raises ValueError naming the key;
+        so does a value the constructors refuse, with the pole's index.
+        Every message starts "malformed pole specification: ".
         """
         check_json_object(obj, "spec", ("kappa0", "poles", "chi0"), ("kappa0",), _MALFORMED)
         raw = obj.get("poles", [])
@@ -142,11 +145,14 @@ class PoleSpec:
                 raise _malformed(f"{where}.lambda is out of the float range") from exc
             if not cmath.isfinite(lam):  # json reads NaN and Infinity
                 raise _malformed(f"{where}.lambda is not finite: {p['lambda']!r}")
-            poles.append(FinitePole(lam,
-                                    _spec_integer(f"{where}.kappa", p.get("kappa", 1)),
-                                    _spec_integer(f"{where}.chi", p.get("chi", 0))))
-        return cls(_spec_integer("kappa0", obj["kappa0"]), tuple(poles),
-                   _spec_integer("chi0", obj.get("chi0", 0)))
+            try:
+                poles.append(FinitePole(lam, p.get("kappa", 1), p.get("chi", 0)))
+            except ValueError as exc:
+                raise _malformed(f"{where}.{exc}") from exc
+        try:
+            return cls(obj["kappa0"], tuple(poles), obj.get("chi0", 0))
+        except ValueError as exc:
+            raise _malformed(str(exc)) from exc
 
 
 _MALFORMED = "malformed pole specification: "
@@ -156,8 +162,14 @@ def _malformed(what: str) -> ValueError:
     return ValueError(_MALFORMED + what)
 
 
-def _spec_integer(key: str, value) -> int:
-    return integer_from_json(_MALFORMED + key, value)
+def _multiplicities(obj, *names: str) -> None:
+    """Set each named field of the frozen obj to its value as an int, refusing
+    one that is not a non-negative integer with a ValueError naming it."""
+    for name in names:
+        m = integer_from_json(name, getattr(obj, name))
+        if m < 0:
+            raise ValueError(f"{name} must be nonnegative, got {m}")
+        object.__setattr__(obj, name, m)
 
 
 def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=None):

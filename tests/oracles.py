@@ -11,7 +11,8 @@ of the library's factored tables, or from the factored tables with every
 core vector formed instead of the library's Gram matrices.  Agreement
 between library and oracle is then a two-route check instead of a
 tautology.  The numerical-range box and its polygon helpers live here too:
-only the tests use them, to check where the reduced spectrum lies.
+only the tests use them, to check where the reduced spectrum lies.  So do
+the writers of the CLI's JSON matrix format, which the library only reads.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from ratmat.bounds import BoundQuery, BoundResult
 from ratmat.geometry import convex_hull
 from ratmat.interp import NewtonForm, NodeList, RationalInterpolant
 from ratmat.jets import FactoredPoly
-from ratmat.linalg import EigenFactorization, as_square_matrix, as_vector
+from ratmat.linalg import EigenFactorization, as_matrix, as_square_matrix, as_vector
 
 
 class PolyJet:
@@ -194,6 +195,18 @@ def partial_fractions(omega_coeffs, v: FactoredPoly) -> PartialFractions:
         # c_j (z-pole)^(j-m): the (z-pole)^(-i) coefficient is c_{m-i}
         residues.append(np.array([c[m - j] for j in range(1, m + 1)]))
     return PartialFractions(np.asarray(quot, dtype=np.complex128), v.roots.copy(), residues)
+
+
+def matrix_to_json(m) -> dict:
+    """m in the JSON matrix format that linalg.matrix_from_json reads."""
+    m = as_matrix(m)
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def vector_to_json(v) -> dict:
+    """v as a one-column matrix in the JSON matrix format."""
+    return matrix_to_json(as_vector(v).reshape(-1, 1))
 
 
 def taylor_expm(A, terms=30):

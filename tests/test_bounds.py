@@ -221,6 +221,28 @@ def test_bound_query_validation():
         BoundQuery(bad, NodeList([0.0]), FactoredPoly((), (), 1.0))
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"s_samples": 11.0}, "s_samples must be an integer, got 11.0"),
+    ({"mu_samples": 50.0}, "mu_samples must be an integer, got 50.0"),
+    ({"mu_samples": True}, "mu_samples must be an integer, got True"),
+])
+def test_bound_query_refuses_a_grid_size_that_is_no_integer(monkeypatch, sizes, message):
+    """A float or bool grid size is named before A is factorized; 11.0 used
+    to reach np.linspace after factorize(A) and end in a numpy TypeError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("A was factorized before the grid sizes were checked")
+
+    monkeypatch.setattr("ratmat.bounds.factorize", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BoundQuery(np.diag([1.0, 2.0]), NodeList([0.0]), FactoredPoly((), (), 1.0), **sizes)
+
+
+def test_bound_query_takes_numpy_integer_grid_sizes():
+    q = BoundQuery(np.diag([-1.0, -2.0]), NodeList([0.0]), FactoredPoly((), (), 1.0),
+                   s_samples=np.int64(3), mu_samples=np.int32(2))
+    assert q.s_grid.size == 3
+
+
 def test_bound_query_pole_near_spectrum_is_relative():
     A = np.diag([1.0, 2.0])
     with pytest.raises(ValueError, match="pole meets spectrum"):

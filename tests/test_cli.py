@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,14 +12,13 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_krylov_vectors, taylor_expm
+from oracles import dense_krylov_vectors, matrix_to_json, taylor_expm, vector_to_json
 from ratmat import cli
 from ratmat.bounds import BoundQuery
 from ratmat.cli import main
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList
 from ratmat.jets import FactoredPoly
-from ratmat.linalg import matrix_to_json, vector_to_json
 from ratmat.rom import (
     PoleSpec,
     arnoldi_error_bound,
@@ -315,20 +315,36 @@ def test_config_errors_exit_cleanly(tmp_path, capsys, command, config, named):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
     assert len(err.splitlines()) == 1
+    _assert_constructor_refuses_alike(config, err)
+
+
+def _assert_constructor_refuses_alike(config, err):
+    """A config built in Python from the refused JSON object's keys is
+    refused with the CLI's message after "error: config: "; a key that is
+    no field, or a value that is no object, is from_json's to refuse."""
+    if isinstance(config, dict) and config.keys() <= _CONFIG_FIELDS:
+        with pytest.raises(ValueError) as refused:
+            ExperimentConfig(**config)
+        assert err == f"error: config: {refused.value}\n"
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_run_refuses_an_order_beyond_physical_memory(tmp_path, capsys):
-    """S and its LU buffer at n = 10**6 take 32 TB: `xp run` refuses the
-    config before drawing S, and `xp poles`, which draws none, still runs."""
-    cfg = _dump(tmp_path, "cfg.json", {"n": 10 ** 6, "outdir": str(tmp_path / "out")})
+    """At the smallest n whose S and LU buffer (32 n^2 bytes) exceed physical
+    memory, `xp run` refuses the config before drawing S, and `xp poles`,
+    which draws none, still runs: the 11 x 50 grid's tables at that n
+    (185,600 + 4,752 n bytes) are far below physical memory on any machine."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = math.isqrt(have // 32) + 1
+    cfg = _dump(tmp_path, "cfg.json", {"n": n, "outdir": str(tmp_path / "out")})
     assert main(["run", "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: config: n = 1000000 is too big: S and its LU "
-                               "buffer need 2.98e+04 GiB, more than the ")
-    assert lines[0].endswith(" GiB of physical memory")
+    assert captured.err == (f"error: config: n = {n} is too big: S and its LU buffer "
+                            f"need {32 * n * n / 2 ** 30:.3g} GiB, more than the "
+                            f"{have / 2 ** 30:.3g} GiB of physical memory\n")
     assert not (tmp_path / "out").exists()
     assert main(["poles", "--config", cfg]) == 0
     assert len(json.loads(capsys.readouterr().out)["poles"]) == 8
@@ -377,6 +393,10 @@ def test_bound_refuses_a_fractional_matrix_size(tmp_path, capsys):
      "poles[0].lambda is not finite: [nan, 0.0]"),
     ({"kappa0": 1, "poles": [{"lambda": [float("inf"), 0.0]}]},
      "poles[0].lambda is not finite: [inf, 0.0]"),
+    ({"kappa0": -1}, "kappa0 must be nonnegative, got -1"),
+    ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": -1}]},
+     "poles[0].kappa must be nonnegative, got -1"),
+    ({"kappa0": 0}, "empty pole specification"),
 ])
 def test_bound_malformed_pole_spec(tmp_path, capsys, spec, named):
     A = np.diag([-1.0, -2.0, -3.0])
@@ -404,6 +424,7 @@ def test_config_out_of_range_number_exits_cleanly(tmp_path, capsys, config, name
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+    _assert_constructor_refuses_alike(config, err)
 
 
 def test_run_refuses_an_oversized_grid_before_the_first_draw(tmp_path, capsys,

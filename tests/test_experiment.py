@@ -77,6 +77,45 @@ def test_config_json_round_trip():
         ExperimentConfig(n=64, t=2.0).to_json()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("s_samples", 11.5, "s_samples must be an integer, got 11.5"),
+    ("mu_samples", True, "mu_samples must be an integer, got True"),
+    ("t", "1", "t must be a finite number, got '1'"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("fit_degree", (9.5, 8), "fit_degree must be an integer, got 9.5"),
+])
+def test_python_config_of_a_wrong_type_is_refused_before_any_work(
+        tmp_path, monkeypatch, field, value, message):
+    """A config built in Python meets the type rules of a JSON one.  These
+    used to pass the constructor and fail inside a trial (s_samples = 11.5,
+    seed = 1.5), raise a TypeError (t = "1") or run (mu_samples = True as
+    one mu sample)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config of a wrong type reached the experiment")
+
+    monkeypatch.setattr(experiment, "draw_eigenvectors", refuse)
+    monkeypatch.setattr(experiment, "derive_poles", refuse)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as refused:
+        run_experiment(ExperimentConfig(n=32, trials=1, outdir=str(out), **{field: value}))
+    assert str(refused.value) == message
+    assert not out.exists()
+
+
+def test_python_config_runs_integral_values_as_ints(tmp_path):
+    """s_samples = 11.0 used to end in a numpy TypeError after the LU of S;
+    it and a numpy integer n run as 11 and 32, with the same bytes."""
+    config = ExperimentConfig(n=np.int64(32), trials=1, s_samples=11.0,
+                              outdir=str(tmp_path / "converted"))
+    assert type(config.n) is int and type(config.s_samples) is int
+    plain = ExperimentConfig(n=32, trials=1, s_samples=11, outdir=str(tmp_path / "plain"))
+    assert run_experiment(config)["config"] == {**plain.to_json(), "outdir": config.outdir}
+    run_experiment(plain)
+    for name in ("trials.csv", "figure.csv"):
+        assert (tmp_path / "converted" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
 def test_boundary_fit_nodes_default_rectangle():
     nodes = boundary_fit_nodes(ExperimentConfig())
     assert nodes.size == 18

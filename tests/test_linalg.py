@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 import scipy
 
-from oracles import eig_extreme_hermitian, numpy_serial_counts
+from oracles import (
+    eig_extreme_hermitian,
+    matrix_to_json,
+    numpy_serial_counts,
+    vector_to_json,
+)
 from ratmat import linalg
 from ratmat.linalg import (
     PIN_BELOW_N,
@@ -20,11 +25,9 @@ from ratmat.linalg import (
     eig_small,
     factorize,
     matrix_from_json,
-    matrix_to_json,
     mgs_orthonormalize,
     poly_roots,
     vector_from_json,
-    vector_to_json,
 )
 
 

@@ -38,6 +38,35 @@ def test_pole_spec_validation():
         PoleSpec(0, [FinitePole(2.0, 0, 0)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: rom.FinitePole(3 + 1j, 2.5), "kappa must be an integer, got 2.5"),
+    (lambda: rom.FinitePole(3 + 1j, True), "kappa must be an integer, got True"),
+    (lambda: rom.FinitePole(3 + 1j, 1, -1), "chi must be nonnegative, got -1"),
+    (lambda: rom.FinitePole(float("nan")), "lambda must be a finite number, got nan"),
+    (lambda: rom.FinitePole("3"), "lambda must be a finite number, got '3'"),
+    (lambda: rom.PoleSpec(1.5, (rom.FinitePole(3 + 1j),)), "kappa0 must be an integer, got 1.5"),
+    (lambda: rom.PoleSpec(1, chi0=None), "chi0 must be an integer, got None"),
+    (lambda: rom.PoleSpec(1, ((3 + 1j, 1, 0),)),
+     "poles must be FinitePole instances, got (((3+1j), 1, 0),)"),
+])
+def test_pole_spec_built_in_python_names_a_bad_field(build, message):
+    """A spec built in Python meets the rules from_json applies; these used
+    to raise a TypeError or AttributeError inside the basis, to take True
+    as kappa 1, or to report a NaN pole as a diverged solve."""
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_pole_spec_takes_integral_multiplicities_as_ints():
+    """2.0 and numpy integers are integers, as in from_json; 2.0 used to
+    raise a TypeError inside the basis."""
+    spec = PoleSpec(np.int64(2), [FinitePole(3.0, 2.0, np.int64(0))])
+    assert spec == PoleSpec(2, [FinitePole(3.0, 2, 0)])
+    assert type(spec.kappa0) is int and type(spec.poles[0].kappa) is int
+    assert spec.to_json() == PoleSpec(2, [FinitePole(3.0, 2, 0)]).to_json()
+
+
 def test_pole_spec_totals_and_denominator():
     spec = PoleSpec(1, [FinitePole(2.0, 2, 1), FinitePole(-1.0j, 0, 3)])
     assert spec.is_two_sided
