@@ -15,7 +15,7 @@ uniform grid; both grid sizes are part of the query and the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import factorial
 from numbers import Integral
 
 import numpy as np
@@ -25,7 +25,7 @@ from .interp import CONFLUENCE_TOL, NodeList
 from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
 from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
-                     factorize, require_memory)
+                     factorize, real_from_json, require_memory)
 
 
 @dataclass
@@ -48,14 +48,13 @@ class BoundResult:
 
 
 def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
-    """Refuse, before any work, a query no grid answers: t must be finite, s_samples
-    must be an integer of at least 2 (the endpoints), mu_samples an integer of at
-    least 1 (a bool is neither), both indexable,
-    and the grid's tables must fit in physical memory for an A of order n, a
-    denominator of degree K - 1 and at most ``nodes`` distinct nodes.  Returns
-    the tables' bytes."""
-    if not isfinite(t):
-        raise ValueError(f"t must be a finite number, got {t}")
+    """Refuse, before any work, a query no grid answers: t must be a finite real
+    number (a bool, a string or None is none), s_samples an integer of at least
+    2 (the endpoints), mu_samples an integer of at least 1 (a bool is neither),
+    both indexable, and the grid's tables must fit in physical memory for an A
+    of order n, a denominator of degree K - 1 and at most ``nodes`` distinct
+    nodes.  Returns the tables' bytes."""
+    real_from_json("t", t)
     for name, size, least in (("s_samples", s_samples, 2), ("mu_samples", mu_samples, 1)):
         if isinstance(size, bool) or not isinstance(size, Integral):
             raise ValueError(f"{name} must be an integer, got {size!r}")

@@ -12,8 +12,6 @@ so trials are reproducible independently of execution order.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -28,6 +26,7 @@ from .linalg import (
     blas_thread_counts,
     check_json_object,
     integer_from_json,
+    real_from_json,
     require_memory,
 )
 from .rom import (
@@ -49,23 +48,14 @@ DRAW_BLOCK = 1 << 15
 _RECTANGLE_KEYS = ("re_min", "re_max", "im_min", "im_max")
 
 
-def _real(name: str, value) -> float:
-    """value as a finite float; anything else raises ValueError naming ``name``."""
-    try:
-        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(x := float(value))):
-            return x
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment's inputs.  The constructor converts each field (an int
     field by integer_from_json, t and the rectangle's bounds to finite
     floats) and checks its range, check_query's rules included: a refusal
-    is a ValueError naming the field, before any draw of S.
+    is a ValueError naming the field, before any draw of S.  The config is
+    frozen, so an assignment after construction, which would skip these
+    rules, raises dataclasses.FrozenInstanceError.
     """
 
     n: int = 256
@@ -84,17 +74,22 @@ class ExperimentConfig:
     outdir: str = "xp_out"
 
     def __post_init__(self):
+        def put(name, value):  # a frozen field is set here only
+            object.__setattr__(self, name, value)
+            return value
+
         for f in fields(self):  # the fields declared int
             if f.type == "int":
-                setattr(self, f.name, integer_from_json(f.name, getattr(self, f.name)))
-        self.t = _real("t", self.t)
+                put(f.name, integer_from_json(f.name, getattr(self, f.name)))
+        put("t", real_from_json("t", self.t))
         r = self.rectangle
         if isinstance(r, dict):  # its keys are checked below
-            r = self.rectangle = {k: _real(f"rectangle.{k}", v) for k, v in r.items()}
+            r = put("rectangle", {k: real_from_json(f"rectangle.{k}", v)
+                                  for k, v in r.items()})
         if not isinstance(self.fit_degree, (list, tuple)) or len(self.fit_degree) != 2:
             raise ValueError(f"fit_degree must be a pair [L, M], got {self.fit_degree!r}")
-        L, M = self.fit_degree = tuple(integer_from_json("fit_degree", x)
-                                       for x in self.fit_degree)
+        L, M = put("fit_degree", tuple(integer_from_json("fit_degree", x)
+                                       for x in self.fit_degree))
         if not isinstance(self.outdir, str):
             raise ValueError(f"outdir must be a string, got {self.outdir!r}")
         if L < 0 or M < 0:

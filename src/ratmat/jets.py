@@ -116,7 +116,7 @@ class ExpJet:
         try:
             for j in range(min(N, self.v.degree) + 1):
                 w[: d.size] += comb(N, j) * self.t ** (N - j) * d
-                d = npp.polyder(d)
+                d = d[1:] * np.arange(1, d.size)  # npp.polyder's products
         except OverflowError as exc:  # float ** int raises where numpy gives inf
             raise ValueError("bound evaluation overflowed at "
                              f"t^{N}, t = {self.t}") from exc

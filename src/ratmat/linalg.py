@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import math
 import numbers
 import os
 import threading
@@ -112,6 +113,18 @@ def integer_from_json(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def real_from_json(name: str, value) -> float:
+    """value as a finite float; a bool, a string, None, a non-finite number or
+    an integer beyond the float range raises ValueError naming ``name``."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(x := float(value))):
+            return x
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def check_json_object(obj, where: str, known: tuple, required=(), prefix="") -> None:

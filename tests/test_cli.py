@@ -2,14 +2,16 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_krylov_vectors, matrix_to_json, taylor_expm, vector_to_json
@@ -19,6 +21,7 @@ from ratmat.cli import main
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList
 from ratmat.jets import FactoredPoly
+from ratmat.linalg import matrix_from_json, vector_from_json
 from ratmat.rom import (
     PoleSpec,
     arnoldi_error_bound,
@@ -365,6 +368,129 @@ def test_bound_malformed_matrix_json(tmp_path, capsys, data, named):
     assert err.startswith("error: ") and named in err
 
 
+def _finite_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# entries of every kind json.dumps writes: any finite double (subnormals
+# among them), signed zeros, the float range's ends, and integer literals
+# within and beyond 64 bits
+_ENTRIES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_finite_float).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-10 ** 300, 10 ** 300),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(0, 3), cols=st.integers(1, 3), data=st.data())
+@example(rows=1, cols=1, data=None)
+def test_matrix_reader_gives_json_bits(tmp_path, rows, cols, data):
+    """`xp bound`'s reader gives the complex128 bits of json.load and
+    matrix_from_json (vector_from_json for one column), whichever decoder
+    it takes; the example holds 2^64 + 2^11 + 1, just above a halfway point,
+    which orjson returns as a float."""
+    if data is None:
+        entries = [[2 ** 64 + 2 ** 11 + 1, -(2 ** 70 + 1)]]
+    else:
+        entries = data.draw(st.lists(st.lists(_ENTRIES, min_size=2, max_size=2),
+                                     min_size=rows * cols, max_size=rows * cols))
+    path = _dump(tmp_path, "A.json", {"rows": rows, "cols": cols, "data": entries})
+    convert = vector_from_json if cols == 1 else matrix_from_json
+    with open(path) as fh:
+        want = convert(json.load(fh), "A")
+    got = cli._read_matrix(path, "A", convert)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_reader_leaves_json_a_well_formed_file(tmp_path, monkeypatch):
+    """A well-formed matrix file never reaches json; a refused one does."""
+    read = []
+    monkeypatch.setattr(cli, "_load_json", lambda path: read.append(path) or
+                        json.loads(Path(path).read_text()))
+    good = _dump(tmp_path, "A.json", matrix_to_json(np.eye(2)))
+    assert np.array_equal(cli._read_matrix(good, "A", matrix_from_json), np.eye(2))
+    assert read == []
+    bad = _dump(tmp_path, "B.json", {"rows": 1, "cols": 1, "data": [[math.nan, 0.0]]})
+    with pytest.raises(ValueError, match="^B contains non-finite entries$"):
+        cli._read_matrix(bad, "B", matrix_from_json)
+    assert read == [bad]
+
+
+def test_matrix_reader_takes_a_huge_entry_from_json(tmp_path, monkeypatch):
+    """An entry of magnitude 2^63 or more is read again by json, so its bits
+    do not rest on how orjson rounds an integer literal beyond 64 bits:
+    here a stand-in for orjson that reads 2^65 one ulp high."""
+    import orjson
+
+    path = _dump(tmp_path, "A.json", {"rows": 1, "cols": 1, "data": [[2 ** 65, 0]]})
+    high = {"rows": 1, "cols": 1, "data": [[math.nextafter(2.0 ** 65, math.inf), 0]]}
+    monkeypatch.setattr(orjson, "loads", lambda _: high)
+    assert cli._read_matrix(path, "A", matrix_from_json).tobytes() == \
+        np.array([[2.0 ** 65]], dtype=np.complex128).tobytes()
+
+
+# (file text, stderr after "error: " with {} for the file's name), the
+# line json's reading gives
+_REFUSED_MATRIX_FILES = {
+    "NaN": ('{"rows": 1, "cols": 1, "data": [[NaN, 0.0]]}',
+            "{} contains non-finite entries"),
+    "Infinity": ('{"rows": 1, "cols": 1, "data": [[0.0, -Infinity]]}',
+                 "{} contains non-finite entries"),
+    "1e400": ('{"rows": 1, "cols": 1, "data": [[1e400, 0.0]]}',
+              "{} contains non-finite entries"),
+    "10**400": ('{"rows": 1, "cols": 1, "data": [[1%s, 0.0]]}' % ("0" * 400),
+                "{}: entry 0 is out of the float range"),
+    "rows 2**64 + 1": ('{"rows": 18446744073709551617, "cols": 1, "data": [[1.0, 0.0]]}',
+                       "{}: data length 1 does not match 18446744073709551617x1"),
+    "truncated": ('{"rows": 1, "cols": 1, "data": [[1.0, 0.0]',
+                  "Expecting ',' delimiter: line 1 column 43 (char 42)"),
+    "UTF-8 BOM": ('\ufeff{"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}',
+                  "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "string entry": ('{"rows": 1, "cols": 1, "data": [["1", 0.0]]}',
+                     "{}: entry 0 is not a [re, im] pair of numbers: ['1', 0.0]"),
+    "65-bit entry": ('{"rows": 1, "cols": 1, "data": [[18446744073709551617]]}',
+                     "{}: entry 0 is not a [re, im] pair of numbers: "
+                     "[18446744073709551617]"),
+}
+
+
+@pytest.mark.parametrize("target", ["A", "b", "d"])
+@pytest.mark.parametrize("case", list(_REFUSED_MATRIX_FILES))
+def test_bound_refuses_a_matrix_file_as_json_does(tmp_path, capsys, target, case):
+    """Each file that orjson refuses or reads differently exits 1 with the
+    line json's reading gives: the same entry, size or position."""
+    text, message = _REFUSED_MATRIX_FILES[case]
+    scalar = {"rows": 1, "cols": 1, "data": [[-1.0, 0.0]]}
+    files = {key: _dump(tmp_path, f"{key}.json", scalar) for key in ("A", "b", "d")}
+    Path(files[target]).write_text(text, encoding="utf-8")
+    spec = _dump(tmp_path, "spec.json", {"kappa0": 1})
+    args = ["bound", "--A", files["A"], "--b", files["b"], "--d", files["d"],
+            "--poles", spec]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(target)}\n")
+
+
+def test_only_xp_bound_loads_orjson(tmp_path):
+    """orjson is imported by the matrix reader alone: importing the CLI,
+    `xp run` and `xp poles` leave it unloaded, and `xp bound` loads it."""
+    cfg = _dump(tmp_path, "cfg.json", {"n": 16, "trials": 1,
+                                       "outdir": str(tmp_path / "out")})
+    bound = _bound_args(tmp_path, np.diag([-1.0, -2.0]), [1.0, 1.0], {"kappa0": 1})
+    probe = ("import sys\nfrom ratmat import cli\nargv = {!r}\n"
+             "if argv: assert cli.main(argv) == 0\n"
+             "print('orjson' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, loads in (([], False), (["run", "--config", cfg], False),
+                        (["poles", "--config", cfg], False), (bound, True)):
+        proc = subprocess.run([sys.executable, "-c", probe.format(argv)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads), argv
+
+
 def test_bound_refuses_a_fractional_matrix_size(tmp_path, capsys):
     """A 2.7 x 2 matrix is refused, not read as 2 x 2."""
     A = _dump(tmp_path, "A.json", {"rows": 2.7, "cols": 2, "data": [[-1.0, 0.0]] * 4})
@@ -473,6 +599,19 @@ def test_query_rules_are_the_same_at_every_entry_point(tmp_path, capsys, t, s_sa
     err = capsys.readouterr().err
     verdicts.append(None if code == 0 else err.removeprefix("error: ").rstrip("\n"))
     assert verdicts[0] == verdicts[1] == verdicts[2]
+
+
+@pytest.mark.parametrize("t", ["1", None, True, math.nan])
+def test_t_that_is_no_finite_number_is_refused_alike(t):
+    """A config and a BoundQuery built in Python refuse a t that is a
+    string, None or a bool, as a non-finite one, with one message."""
+    for build in (
+        lambda: ExperimentConfig(t=t),
+        lambda: BoundQuery(_QUERY_A, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t),
+    ):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == f"t must be a finite number, got {t!r}"
 
 
 def test_bound_t_whose_power_overflows_exits_cleanly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -114,6 +115,20 @@ def test_python_config_runs_integral_values_as_ints(tmp_path):
     for name in ("trials.csv", "figure.csv"):
         assert (tmp_path / "converted" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s_samples", 11.0), ("n", 32), ("t", "1"), ("fit_degree", (9, 8)),
+])
+def test_config_is_frozen_after_its_checks(field, value):
+    """An assignment after construction, which would skip the checks (11.0
+    used to pass until the first trial had factored S), raises; the config
+    keeps its converted value."""
+    config = ExperimentConfig(n=32, trials=1)
+    before = config.to_json()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+    assert config.to_json() == before
 
 
 def test_boundary_fit_nodes_default_rectangle():

@@ -13,7 +13,9 @@ from oracles import (
     jet_product,
     restrict,
     taylor_row_major,
+    vexp_w_loop,
 )
+from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.jets import ExpJet, FactoredPoly, VExpDerivative
 
 
@@ -107,6 +109,32 @@ def test_factored_poly_validation():
         FactoredPoly([1.0], [1], scale=0.0)
     with pytest.raises(ValueError):
         FactoredPoly([1.0], [1, 2])
+
+
+def _random_v(rng) -> FactoredPoly:
+    """Up to 8 random roots, half the time closed under conjugation and
+    every third time with the exact roots 0, 1j, -1j and 2 added, so the
+    coefficients hold exact and signed zeros."""
+    roots = rng.standard_normal(rng.integers(0, 9)) * (1 + 1j * rng.standard_normal())
+    if rng.integers(2):
+        roots = np.concatenate((roots, roots.conj()))
+    if rng.integers(3) == 0:
+        roots = np.concatenate((roots, [0.0, 1j, -1j, 2.0]))
+    scale = complex(rng.standard_normal(), rng.standard_normal())
+    return FactoredPoly(roots, rng.integers(1, 3, roots.size), scale)
+
+
+def test_exp_jet_w_keeps_the_bytes_of_the_polyder_loop():
+    """ExpJet.w differentiates its coefficients by slicing; its bytes, signed
+    zeros included, are those of the loop over numpy's polyder, on 600
+    random (v, t, N) and on the default config's [9/8] poles at N = 9."""
+    rng = np.random.default_rng(83)
+    cases = [(_random_v(rng), float(rng.choice([0.0, rng.uniform(-3.0, 3.0)])),
+              int(rng.integers(0, 25))) for _ in range(600)]
+    poles = derive_poles(ExperimentConfig())
+    cases.append((FactoredPoly(poles, [1] * poles.size), 1.0, 9))
+    for v, t, N in cases:
+        assert ExpJet(t, v).w(N).tobytes() == vexp_w_loop(v, t, N).tobytes()
 
 
 def test_product_jet_leibniz_vs_expanded():
