@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,12 +57,13 @@ class ExperimentConfig:
     floats) and checks its range, check_query's rules included: a refusal
     is a ValueError naming the field, before any draw of S.  The config is
     frozen, so an assignment after construction, which would skip these
-    rules, raises dataclasses.FrozenInstanceError.
+    rules, raises dataclasses.FrozenInstanceError; the rectangle is held
+    read-only, so an assignment to one of its bounds raises TypeError.
     """
 
     n: int = 256
     trials: int = 100
-    rectangle: dict = field(
+    rectangle: Mapping = field(
         default_factory=lambda: {
             "re_min": -1.0, "re_max": 0.0,
             "im_min": -np.pi, "im_max": np.pi,
@@ -83,9 +86,8 @@ class ExperimentConfig:
                 put(f.name, integer_from_json(f.name, getattr(self, f.name)))
         put("t", real_from_json("t", self.t))
         r = self.rectangle
-        if isinstance(r, dict):  # its keys are checked below
-            r = put("rectangle", {k: real_from_json(f"rectangle.{k}", v)
-                                  for k, v in r.items()})
+        if isinstance(r, Mapping):  # its keys are checked below
+            r = {k: real_from_json(f"rectangle.{k}", v) for k, v in r.items()}
         if not isinstance(self.fit_degree, (list, tuple)) or len(self.fit_degree) != 2:
             raise ValueError(f"fit_degree must be a pair [L, M], got {self.fit_degree!r}")
         L, M = put("fit_degree", tuple(integer_from_json("fit_degree", x)
@@ -102,6 +104,7 @@ class ExperimentConfig:
         check_json_object(r, "rectangle", _RECTANGLE_KEYS, _RECTANGLE_KEYS)
         if r["re_max"] <= r["re_min"] or r["im_max"] <= r["im_min"]:
             raise ValueError("degenerate rectangle")
+        put("rectangle", MappingProxyType(r))
         if self.n < 1 + M:
             raise ValueError(f"n must be at least the reduced order {1 + M}")
         # a trial's reduction has 1 + M vectors and a degree-M denominator
@@ -121,7 +124,8 @@ class ExperimentConfig:
             raise ValueError(f"config: {exc}") from exc
 
     def to_json(self) -> dict:
-        return {**asdict(self), "fit_degree": list(self.fit_degree)}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "rectangle": dict(self.rectangle), "fit_degree": list(self.fit_degree)}
 
 
 @dataclass

@@ -67,24 +67,17 @@ def divided_differences(f, nodes: NodeList) -> np.ndarray:
     """
     z = nodes.nodes
     N = z.size
-    # one jet per distinct node, up to the order its multiplicity requires
-    jets = {}
-    pos = 0
-    for r, m in zip(nodes.reps, nodes.mults):
-        jets[pos] = f.eval(r, int(m) - 1)
-        pos += int(m)
-    rep_index = np.repeat(np.arange(nodes.reps.size), nodes.mults)
-    rep_start = np.repeat(
-        np.concatenate(([0], np.cumsum(nodes.mults)[:-1])), nodes.mults
-    )
-
-    col = np.array([jets[rep_start[i]][0] for i in range(N)])
+    # the run of equal nodes each node lies in, and one jet per run up to
+    # the order its multiplicity requires
+    run = np.repeat(np.arange(nodes.reps.size), nodes.mults)
+    jets = [f.eval(r, int(m) - 1) for r, m in zip(nodes.reps, nodes.mults)]
+    col = np.array([jets[k][0] for k in run])
     out = [col[0]]
     for j in range(1, N):
         nxt = np.empty(N - j, dtype=np.complex128)
         for i in range(N - j):
-            if rep_index[i] == rep_index[i + j]:
-                nxt[i] = jets[rep_start[i]][j] / factorial(j)
+            if run[i] == run[i + j]:
+                nxt[i] = jets[run[i]][j] / factorial(j)
             else:
                 nxt[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
         col = nxt

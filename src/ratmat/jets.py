@@ -69,11 +69,8 @@ class FactoredPoly:
     def degree(self) -> int:
         return int(self.mults.sum())
 
-    def expanded_roots(self) -> np.ndarray:
-        return np.repeat(self.roots, self.mults)
-
     def coeffs(self) -> np.ndarray:
-        c = npp.polyfromroots(self.expanded_roots()) * self.scale
+        c = npp.polyfromroots(np.repeat(self.roots, self.mults)) * self.scale
         return c.astype(np.complex128)
 
     def __mul__(self, other: "FactoredPoly") -> "FactoredPoly":

@@ -196,8 +196,7 @@ class EigenFactorization:
     cond_estimate: float = field(init=False)
 
     def __post_init__(self):
-        given = self.S
-        S = np.asarray(given, dtype=np.complex128, order="C")
+        S = np.asarray(self.S, dtype=np.complex128, order="C")
         self.norm1 = _norm1(S) if S.ndim == 2 else np.nan
         # a NaN or inf entry makes its column sum, and so the norm, non-finite;
         # only then (or for a misshapen S) does the entrywise check run, for its
@@ -210,13 +209,7 @@ class EigenFactorization:
             raise ValueError("S is empty")
         if self.eigenvalues.size != S.shape[0]:
             raise ValueError("eigenvalue count does not match S")
-        # a column-major buffer goes to LAPACK as it is, so f2py makes no
-        # copy; eig's S is one already, and a plain copy of it fills the buffer
-        if isinstance(given, np.ndarray) and given.flags.f_contiguous:
-            buf = np.array(given, dtype=np.complex128, order="F")
-        else:
-            buf = _column_major(S)
-        lu, piv, info = lapack.zgetrf(buf, overwrite_a=1)
+        lu, piv, info = lapack.zgetrf(_column_major(S), overwrite_a=1)
         rcond = lapack.zgecon(lu, self.norm1)[0] if info == 0 else 0.0
         self.lu = (lu, piv)
         self.cond_estimate = 1.0 / rcond if rcond > 0 else np.inf

@@ -119,13 +119,13 @@ class PoleSpec:
 
     @classmethod
     def from_json(cls, obj) -> "PoleSpec":
-        """Spec from a decoded JSON object; a pole's kappa defaults to 1,
-        its chi and chi0 to 0.
+        """Spec from a decoded JSON object; a key left out takes the
+        constructor's default (a pole's kappa 1, its chi and chi0 0).
 
         A missing kappa0 or lambda, an unknown key or a lambda that is not
-        a [re, im] pair of finite numbers raises ValueError naming the key;
-        so does a value the constructors refuse, with the pole's index.
-        Every message starts "malformed pole specification: ".
+        a [re, im] pair of numbers raises ValueError naming the key; so does
+        a value the constructors refuse, with the pole's index.  Every
+        message starts "malformed pole specification: ".
         """
         check_json_object(obj, "spec", ("kappa0", "poles", "chi0"), ("kappa0",), _MALFORMED)
         raw = obj.get("poles", [])
@@ -143,14 +143,12 @@ class PoleSpec:
                                  f"numbers: {p['lambda']!r}") from exc
             except OverflowError as exc:  # an integer beyond the float range
                 raise _malformed(f"{where}.lambda is out of the float range") from exc
-            if not cmath.isfinite(lam):  # json reads NaN and Infinity
-                raise _malformed(f"{where}.lambda is not finite: {p['lambda']!r}")
             try:
-                poles.append(FinitePole(lam, p.get("kappa", 1), p.get("chi", 0)))
+                poles.append(FinitePole(lam, **{k: v for k, v in p.items() if k != "lambda"}))
             except ValueError as exc:
                 raise _malformed(f"{where}.{exc}") from exc
         try:
-            return cls(obj["kappa0"], tuple(poles), obj.get("chi0", 0))
+            return cls(**{**obj, "poles": tuple(poles)})
         except ValueError as exc:
             raise _malformed(str(exc)) from exc
 

@@ -565,6 +565,37 @@ def random_gaussian_matrix(rng, n):
     return G / np.sqrt(2.0 * n)
 
 
+def divided_differences_by_run_start(f, nodes: NodeList) -> np.ndarray:
+    """The library's divided-difference table as it was before it found a
+    node's run through one index: jets keyed by the run's first position,
+    reached through a second index of run starts.  Kept to pin the library's
+    routine to it bit for bit."""
+    z = nodes.nodes
+    N = z.size
+    jets = {}
+    pos = 0
+    for r, m in zip(nodes.reps, nodes.mults):
+        jets[pos] = f.eval(r, int(m) - 1)
+        pos += int(m)
+    rep_index = np.repeat(np.arange(nodes.reps.size), nodes.mults)
+    rep_start = np.repeat(
+        np.concatenate(([0], np.cumsum(nodes.mults)[:-1])), nodes.mults
+    )
+
+    col = np.array([jets[rep_start[i]][0] for i in range(N)])
+    out = [col[0]]
+    for j in range(1, N):
+        nxt = np.empty(N - j, dtype=np.complex128)
+        for i in range(N - j):
+            if rep_index[i] == rep_index[i + j]:
+                nxt[i] = jets[rep_start[i]][j] / factorial(j)
+            else:
+                nxt[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
+        col = nxt
+        out.append(col[0])
+    return np.array(out)
+
+
 def genocchi_hermite_oracle(f, nodes: NodeList, quad_points: int) -> complex:
     """Divided difference as an iterated integral of f^(N-1) over a simplex.
 

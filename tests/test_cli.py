@@ -516,9 +516,9 @@ def test_bound_refuses_a_fractional_matrix_size(tmp_path, capsys):
     ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": "1"}]},
      "poles[0].chi must be an integer"),
     ({"kappa0": 1, "poles": [{"lambda": [float("nan"), 0.0]}]},
-     "poles[0].lambda is not finite: [nan, 0.0]"),
+     "poles[0].lambda must be a finite number, got (nan+0j)"),
     ({"kappa0": 1, "poles": [{"lambda": [float("inf"), 0.0]}]},
-     "poles[0].lambda is not finite: [inf, 0.0]"),
+     "poles[0].lambda must be a finite number, got (inf+0j)"),
     ({"kappa0": -1}, "kappa0 must be nonnegative, got -1"),
     ({"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "kappa": -1}]},
      "poles[0].kappa must be nonnegative, got -1"),

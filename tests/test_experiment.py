@@ -131,6 +131,33 @@ def test_config_is_frozen_after_its_checks(field, value):
     assert config.to_json() == before
 
 
+def test_config_rectangle_is_read_only():
+    """The rectangle's bounds are checked once, at construction: an item
+    assignment, which used to reach boundary_fit_nodes unchecked, raises.
+    A config rebuilt from its JSON or by dataclasses.replace is equal."""
+    config = ExperimentConfig(n=32, trials=1)
+    with pytest.raises(TypeError):
+        config.rectangle["re_min"] = "x"
+    assert config.rectangle["re_min"] == -1.0
+    assert ExperimentConfig(**config.to_json()) == config
+    assert dataclasses.replace(config, n=33).rectangle == config.rectangle
+
+
+def test_summary_holds_the_rectangle_as_given(tmp_path):
+    """summary.json writes the read-only rectangle as a plain object, its
+    bounds as floats in the order given."""
+    rect = {"im_max": np.pi, "im_min": -np.pi, "re_max": 0, "re_min": -1}
+    run_experiment(ExperimentConfig(n=16, trials=1, rectangle=rect,
+                                    outdir=str(tmp_path / "out")))
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert ('  "rectangle": {\n'
+            '      "im_max": 3.141592653589793,\n'
+            '      "im_min": -3.141592653589793,\n'
+            '      "re_max": 0.0,\n'
+            '      "re_min": -1.0\n'
+            '    },\n') in text
+
+
 def test_boundary_fit_nodes_default_rectangle():
     nodes = boundary_fit_nodes(ExperimentConfig())
     assert nodes.size == 18

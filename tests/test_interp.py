@@ -10,6 +10,7 @@ from oracles import (
     FunctionJet,
     PolyJet,
     contour_divdiff_oracle,
+    divided_differences_by_run_start,
     genocchi_hermite_oracle,
     partial_fractions,
 )
@@ -126,6 +127,27 @@ def test_divided_differences_permutation_invariant(nodes, t):
     ref = divided_differences(ExpJet(t), NodeList(original))[-1]
     got = divided_differences(ExpJet(t), NodeList(permuted))[-1]
     assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+_POINT = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@given(
+    nodes=st.lists(st.tuples(_POINT, st.integers(1, 3)), min_size=1, max_size=5,
+                   unique_by=lambda p: p[0]).map(
+        lambda sites: [z for z, m in sites for _ in range(m)]).flatmap(st.permutations),
+    t=st.floats(-2.0, 2.0),
+    roots=st.lists(_POINT, max_size=3),
+    coeffs=st.lists(_POINT, min_size=1, max_size=5),
+)
+def test_divided_differences_match_the_run_start_table_bit_for_bit(nodes, t, roots, coeffs):
+    """One index of runs gives the bytes the table keyed by run start gave,
+    for e^(tz), v e^(tz) and a polynomial, over shuffled confluent nodes."""
+    nl = NodeList(nodes)
+    v = FactoredPoly(roots, [1] * len(roots), 1.0)
+    for f in (ExpJet(t), ExpJet(t, v), PolyJet(coeffs)):
+        assert divided_differences(f, nl).tobytes() == \
+            divided_differences_by_run_start(f, nl).tobytes()
 
 
 def test_divided_differences_full_confluence():

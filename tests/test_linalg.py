@@ -467,15 +467,12 @@ def test_eigen_factorization_hands_zgetrf_a_column_major_buffer(monkeypatch):
     assert not np.shares_memory(fac.lu[0], S)
 
 
-def test_eigen_factorization_copies_a_column_major_S_plainly(monkeypatch):
-    """eig's Fortran-ordered S fills the LU buffer by one plain copy, not
-    the blocked transposing one, and S is still held row-major."""
-    def refused(S):
-        raise AssertionError("column-major S transposed into the LU buffer")
-
-    monkeypatch.setattr(linalg, "_column_major", refused)
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_eigen_factorization_holds_S_row_major_and_unchanged(layout):
+    """Row-major S and eig's Fortran-ordered S alike are held row-major and
+    left as they were, and the LU buffer is a copy of its own."""
     rng = np.random.default_rng(9)
-    S = np.asfortranarray(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
+    S = layout(rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50)))
     before = S.copy()
     fac = EigenFactorization(S, np.arange(50))
     assert fac.S.flags.c_contiguous and np.array_equal(fac.S, S)

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -56,6 +57,18 @@ def test_pole_spec_built_in_python_names_a_bad_field(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_json_and_python_poles_refuse_a_non_finite_lambda_alike(literal):
+    """FinitePole owns the finite-lambda rule: a JSON spec gets the text a
+    Python caller gets, after the pole's index."""
+    obj = json.loads(f'{{"kappa0": 1, "poles": [{{"lambda": [{literal}, 0.0]}}]}}')
+    with pytest.raises(ValueError) as python:
+        FinitePole(complex(*obj["poles"][0]["lambda"]))
+    with pytest.raises(ValueError) as from_json:
+        PoleSpec.from_json(obj)
+    assert str(from_json.value) == f"malformed pole specification: poles[0].{python.value}"
 
 
 def test_pole_spec_takes_integral_multiplicities_as_ints():
