@@ -9,7 +9,9 @@ Omega), denominator v, and f = exp_t,
 
 in bilinear and vector-norm flavors.  The maximum over the hull
 is taken over boundary samples only (maximum modulus), and the s range over a
-uniform grid; both grid sizes are part of the query and the result.
+uniform grid; both grid sizes are part of the query and the result.  The grid
+is evaluated a block of s samples at a time (GRID_BLOCK), so its tables take
+the same memory whatever the number of s samples.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
 from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
                      factorize, real_from_json, require_memory)
+
+# Table entries per block of s samples in the e1 grid (512 KB of C and X at
+# 16 bytes each): xp run's default 11 x 50 grid (deg v = 8) is one block up
+# to n = 280 and four blocks of three samples or fewer at n = 1024.
+GRID_BLOCK = 1 << 15
 
 
 @dataclass
@@ -47,13 +54,19 @@ class BoundResult:
         }
 
 
+def block_rows(n_s: int, n: int, n_mu: int, K: int) -> int:
+    """s samples per block of the grid: as many as fit in GRID_BLOCK of the
+    K (n + n_mu) table entries (X and C) one sample takes, at least one."""
+    return min(n_s, max(1, GRID_BLOCK // (K * (n + n_mu))))
+
+
 def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
     """Refuse, before any work, a query no grid answers: t must be a finite real
     number (a bool, a string or None is none), s_samples an integer of at least
     2 (the endpoints), mu_samples an integer of at least 1 (a bool is neither),
-    both indexable, and the grid's tables must fit in physical memory for an A
-    of order n, a denominator of degree K - 1 and at most ``nodes`` distinct
-    nodes.  Returns the tables' bytes."""
+    both indexable, and the grid's evaluation must fit in physical memory for
+    an A of order n, a denominator of degree K - 1 and at most ``nodes``
+    distinct nodes.  Returns its bytes."""
     real_from_json("t", t)
     for name, size, least in (("s_samples", s_samples, 2), ("mu_samples", mu_samples, 1)):
         if isinstance(size, bool) or not isinstance(size, Integral):
@@ -63,11 +76,14 @@ def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) 
         if size > np.iinfo(np.intp).max:  # building the grid would overflow
             raise ValueError(f"{name} is beyond numpy's index range")
     # the peak of the grid's evaluation in bytes: the mu points (the hull's
-    # vertices are distinct nodes, so n_mu bounds mu_grid's count), three
-    # n_s n_mu arrays (a, e^(ta), a temporary), two n_s n_mu K (C and the
-    # Taylor array, or C and G C) and three n_s K n (X, Y and conj(Y))
+    # vertices are distinct nodes, so n_mu bounds mu_grid's count), the
+    # n_s n_mu real values, and one block of r s samples: per sample, 2K + 6
+    # arrays over the mu points (C and the Taylor array or G C, a, e^(ta) and
+    # temporaries) and 2K + 3 over the eigenvalues (X and Y, x and temporaries)
     n_mu = max(mu_samples, nodes)
-    grid_bytes = 16 * (n_mu + s_samples * (n_mu * (3 + 2 * K) + 3 * K * n))
+    r = block_rows(s_samples, n, n_mu, K)
+    grid_bytes = (16 * (n_mu + r * ((2 * K + 6) * n_mu + (2 * K + 3) * n))
+                  + 8 * s_samples * n_mu)
     require_memory(grid_bytes, f"the {s_samples} x {n_mu} grid is too big: its tables")
     return grid_bytes
 
@@ -119,8 +135,15 @@ class BoundQuery:
 
     # -- grid machinery ----------------------------------------------------
 
-    def _tables(self):
-        """The (s, mu) grid in factored form: the mu-side C and nu-side X.
+    def _blocks(self):
+        """The s grid as slices of block_rows samples each."""
+        n_s = self.s_grid.size
+        rows = block_rows(n_s, self.fac.order, self.mu_points.size, self.v.degree + 1)
+        return [slice(j, j + rows) for j in range(0, n_s, rows)]
+
+    def _tables(self, rows=slice(None)):
+        """The (s, mu) grid in factored form, for the s samples ``rows``
+        (all by default): the mu-side C and nu-side X.
 
         With a = (1-s_j) mu_m, x = s_j nu_i and T_k(a) the Taylor
         coefficients of w at a (see VExpDerivative),
@@ -134,9 +157,10 @@ class BoundQuery:
         S diag(weights/N! * sum_k C[j, m, k] X[j, k]) S^-1.
         """
         t = self.vf_derivative.t
-        x = self.s_grid[:, np.newaxis] * self.fac.eigenvalues[np.newaxis, :]
+        s = self.s_grid[rows]
+        x = s[:, np.newaxis] * self.fac.eigenvalues[np.newaxis, :]
         sigma = (t * x.real).max(axis=1, keepdims=True)
-        a = (1.0 - self.s_grid)[:, np.newaxis] * self.mu_points[np.newaxis, :]
+        a = (1.0 - s)[:, np.newaxis] * self.mu_points[np.newaxis, :]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             C = np.exp(t * a + sigma)[..., np.newaxis] * self.vf_derivative.taylor(a)
             X = np.empty((x.shape[0], C.shape[2], x.shape[1]), dtype=np.complex128)
@@ -170,37 +194,47 @@ def bound_vector(q: BoundQuery, b, *, c=None) -> BoundResult:
     """max over the grid of || core(s, mu) b ||_2 (this is e1); c = S^-1 b is
     solved here unless the caller passes it.
 
-    One product with S covers the whole grid: its n_s (deg v + 1) columns
-    are the folded X, and the block Y_j of deg v + 1 of them that belongs to
-    s_j maps C[j, m] to the core vector at (s_j, mu_m).  That GEMM is the one
-    O(n^2 n_s deg v) step, so it runs in scipy's BLAS, next to the LU of S
-    (see linalg.blas_pin).  The norms then come from the Gram
-    matrices G_j = Y_j^H Y_j as ||Y_j C[j, m]||^2 = C[j, m]^H G_j C[j, m], so
-    a mu sample costs O(deg^2 v) and nothing in n.
+    One product with S covers a block of s samples (see BoundQuery._blocks):
+    its r (deg v + 1) columns are the block's folded X, and the block Y_j of
+    deg v + 1 of them that belongs to s_j maps C[j, m] to the core vector at
+    (s_j, mu_m).  These GEMMs are the one O(n^2 n_s deg v) step, so they run
+    in scipy's BLAS, next to the LU of S (see linalg.blas_pin).  The norms
+    then come from the Gram matrices G_j = Y_j^H Y_j as
+    ||Y_j C[j, m]||^2 = C[j, m]^H G_j C[j, m], so a mu sample costs
+    O(deg^2 v) and nothing in n.
     """
     b = as_vector(b)
-    C, X = q._tables()
-    Xc = X * q._fold(q.fac.solve(b) if c is None else c)
-    n_s, n_k, n = X.shape
-    Y = q.fac.times(Xc.reshape(n_s * n_k, n).T).reshape(n, n_s, n_k).transpose(1, 0, 2)
-    del Xc  # BoundQuery.grid_bytes counts it only until Y exists
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
-        G = Y.conj().transpose(0, 2, 1) @ Y
-        GC = C @ G.transpose(0, 2, 1)  # GC[j, m] = G_j C[j, m]
-        sq = (np.einsum("jmk,jmk->jm", C.real, GC.real)
-              + np.einsum("jmk,jmk->jm", C.imag, GC.imag))
+    folded = q._fold(q.fac.solve(b) if c is None else c)
+    sq = np.empty((q.s_grid.size, q.mu_points.size))
+    for rows in q._blocks():
+        C, X = q._tables(rows)
+        X *= folded
+        r, n_k, n = X.shape
+        Y = q.fac.times(X.reshape(r * n_k, n).T).reshape(n, r, n_k).transpose(1, 0, 2)
+        del X  # BoundQuery.grid_bytes counts it only until Y exists
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite is refused below
+            G = Y.conj().transpose(0, 2, 1) @ Y
+            GC = C @ G.transpose(0, 2, 1)  # GC[j, m] = G_j C[j, m]
+            sq[rows] = (np.einsum("jmk,jmk->jm", C.real, GC.real)
+                        + np.einsum("jmk,jmk->jm", C.imag, GC.imag))
+        del C, Y, G, GC  # before the next block's tables
     # at s = 1, a = (1 - s) mu is 0 and the value does not depend on mu: one
     # value for the row leaves an argmax there to _result's tie rule, not rounding
     sq[-1] = sq[-1, 0]
     # rounding can take a zero norm below 0; NaN passes np.maximum to _result
-    return q._result(np.sqrt(np.maximum(sq, 0.0)))
+    return q._result(np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq))
 
 
 def bound_bilinear(q: BoundQuery, b, d, *, c=None) -> BoundResult:
-    """max over the grid of | d^H core(s, mu) b |; c as in bound_vector."""
+    """max over the grid of | d^H core(s, mu) b |, a block of s samples at a
+    time; c as in bound_vector."""
     b = as_vector(b)
     d = as_vector(d)
-    C, X = q._tables()
     u = d.conj() @ q.fac.S
-    y = X @ q._fold(u * (q.fac.solve(b) if c is None else c))
-    return q._result(np.abs(C @ y[..., np.newaxis])[..., 0])
+    folded = q._fold(u * (q.fac.solve(b) if c is None else c))
+    values = np.empty((q.s_grid.size, q.mu_points.size))
+    for rows in q._blocks():
+        C, X = q._tables(rows)
+        values[rows] = np.abs(C @ (X @ folded)[..., np.newaxis])[..., 0]
+        del C, X  # before the next block's tables
+    return q._result(values)

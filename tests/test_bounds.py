@@ -18,6 +18,7 @@ from oracles import (
     rational_apply,
     taylor_expm,
 )
+from ratmat import bounds
 from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
@@ -368,21 +369,42 @@ def test_gram_form_matches_tensor_oracle(case, grid):
 
 
 _OFF_SPECTRUM_POLE = st.builds(complex, st.floats(-4.0, -1.5), st.floats(-4.0, 4.0))
+_POLES = st.lists(st.tuples(_OFF_SPECTRUM_POLE, st.integers(1, 2), st.integers(0, 2)),
+                  max_size=3, unique_by=lambda p: p[0])
+
+
+def _random_system(n, seed, kappa0, poles, two_sided):
+    """_reduced_system of order n for a spec drawn from _POLES, one- or
+    two-sided; an example whose spec needs more than n vectors is skipped."""
+    spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
+                                  for lam, k, chi in poles), chi0=int(two_sided))
+    assume(spec.total() <= n)
+    return _reduced_system(np.random.default_rng(seed), n, spec)
+
+
+def _recorded(route, q, *args):
+    """The route's result, and the grid of values it passed to q._result."""
+    grids, result = [], q._result
+
+    def recording(values):
+        grids.append(values.copy())
+        return result(values)
+
+    q._result = recording
+    try:
+        return route(q, *args), grids[0]
+    finally:
+        del q._result
 
 
 @settings(max_examples=30)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
-       poles=st.lists(st.tuples(_OFF_SPECTRUM_POLE, st.integers(1, 2), st.integers(0, 2)),
-                      max_size=3, unique_by=lambda p: p[0]),
-       two_sided=st.booleans(), grid=st.sampled_from([(2, 1), (11, 50), (5, 17)]))
+       poles=_POLES, two_sided=st.booleans(), grid=st.sampled_from([(2, 1), (11, 50), (5, 17)]))
 def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
                                                         two_sided, grid):
     """bound_vector against the R-tensor oracle on random reduced systems of
     order up to 40, one- and two-sided."""
-    spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
-                                  for lam, k, chi in poles), chi0=int(two_sided))
-    assume(spec.total() <= n)
-    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec)
+    fac, b, _, nodes, v = _random_system(n, seed, kappa0, poles, two_sided)
     q = BoundQuery(fac, nodes, v, s_samples=grid[0], mu_samples=grid[1])
     got = bound_vector(q, b)
     want, runner_up = _tensor_reference(q, b)
@@ -394,76 +416,114 @@ def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
 
 @settings(max_examples=30)
 @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
-       poles=st.lists(st.tuples(_OFF_SPECTRUM_POLE, st.integers(1, 2), st.integers(0, 2)),
-                      max_size=3, unique_by=lambda p: p[0]),
-       two_sided=st.booleans(), shift=st.floats(0.0, 4.0))
+       poles=_POLES, two_sided=st.booleans(), grid=st.sampled_from([(2, 1), (11, 50), (5, 17)]))
+def test_blocks_of_one_s_sample_match_one_block(n, seed, kappa0, poles, two_sided, grid):
+    """With GRID_BLOCK = 1 every block of the grid is one s sample.  Both
+    routes then give the values of the one block the default takes at these
+    orders to 1e-15 of the grid's largest, and bound_vector those of the
+    R-tensor oracle, with the same argmax but for ties within 1e-9."""
+    fac, b, d, nodes, v = _random_system(n, seed, kappa0, poles, two_sided)
+    q = BoundQuery(fac, nodes, v, s_samples=grid[0], mu_samples=grid[1])
+    assert len(q._blocks()) == 1
+    tensor = bound_vector_tensor(q, b)
+    for route, args in ((bound_vector, (b,)), (bound_bilinear, (b, d))):
+        whole, want = _recorded(route, q, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "GRID_BLOCK", 1)
+            assert len(q._blocks()) == q.s_grid.size
+            got, values = _recorded(route, q, *args)
+        references = [(whole, want)]
+        if route is bound_vector:
+            references.append((q._result(tensor), tensor))
+        for ref, ref_values in references:
+            assert np.all(np.abs(values - ref_values) <= 1e-15 * ref.value)
+            runner_up = np.partition(ref_values.ravel(), -2)[-2] if values.size > 1 else -np.inf
+            if runner_up < ref.value * (1.0 - 1e-9):
+                assert (got.argmax_s, got.argmax_mu) == (ref.argmax_s, ref.argmax_mu)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
+       poles=_POLES, two_sided=st.booleans(), shift=st.floats(0.0, 4.0))
 def test_s_one_row_is_one_value(n, seed, kappa0, poles, two_sided, shift):
     """At s = 1 the value does not depend on mu, and bound_vector's row there
     is bitwise constant, so an argmax on it reports mu_points[0] by the tie
-    rule.  The reduced nodes are shifted left, which moves most argmaxes to
-    s = 1."""
-    spec = PoleSpec(kappa0, tuple(FinitePole(lam, k, chi if two_sided else 0)
-                                  for lam, k, chi in poles), chi0=int(two_sided))
-    assume(spec.total() <= n)
-    fac, b, _, nodes, v = _reduced_system(np.random.default_rng(seed), n, spec)
+    rule, also when the row is alone in the grid's last block
+    (GRID_BLOCK = 1).  The reduced nodes are shifted left, which moves most
+    argmaxes to s = 1."""
+    fac, b, _, nodes, v = _random_system(n, seed, kappa0, poles, two_sided)
     q = BoundQuery(fac, NodeList(nodes.nodes - shift), v)
-    rows, result = [], q._result
-
-    def recording(values):
-        rows.append(values[-1].copy())
-        return result(values)
-
-    q._result = recording
-    res = bound_vector(q, b)
-    assert np.all(rows[0] == rows[0][0])
-    if res.argmax_s == 1.0:
-        assert res.argmax_mu == q.mu_points[0]
+    for block in (bounds.GRID_BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "GRID_BLOCK", block)
+            assert len(q._blocks()) == (1 if block > 1 else q.s_grid.size)
+            res, values = _recorded(bound_vector, q, b)
+        assert np.all(values[-1] == values[-1, 0])
+        if res.argmax_s == 1.0:
+            assert res.argmax_mu == q.mu_points[0]
 
 
-def _peak_bytes(route, fac, nodes, v, b, n_mu):
+def _memory_case(n):
+    """A random order-n factorization, the xp-run denominator, nine nodes
+    and b, for the memory tests."""
+    rng = np.random.default_rng(359)
+    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
+    fac = EigenFactorization(rng.uniform(-1.0, 1.0, (n, n))
+                             + 1j * rng.uniform(-1.0, 1.0, (n, n)), nu)
+    poles = derive_poles(ExperimentConfig(n=128, trials=1))
+    v = FactoredPoly(poles, np.ones(poles.size, dtype=int), 1.0)
+    nodes = NodeList(0.5 * (rng.uniform(-1.0, 0.0, 9) + 1j * rng.uniform(-np.pi, np.pi, 9)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return fac, nodes, v, b
+
+
+def _peak_bytes(route, fac, nodes, v, b, n_mu, s_samples=11):
     """BoundQuery.grid_bytes, and the traced peak of setting the query up
     and evaluating its grid on one route."""
     c = fac.solve(b)
     tracemalloc.start()
     try:
-        q = BoundQuery(fac, nodes, v, mu_samples=n_mu)
+        q = BoundQuery(fac, nodes, v, s_samples=s_samples, mu_samples=n_mu)
         route(q, *((b,) if route is bound_vector else (b, b)), c=c)
         return q.grid_bytes, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n, n_mu", [(256, 2000), (128, 20000)])
-def test_grid_bytes_counts_the_peak(n, n_mu):
+@pytest.mark.parametrize("n, n_mu, s_samples", [(256, 2000, 11), (128, 20000, 11),
+                                                (256, 50, 2001)],
+                         ids=["256-2000", "128-20000", "256-50-2001"])
+def test_grid_bytes_counts_the_peak(n, n_mu, s_samples):
     """The memory cap's estimate covers what the grid allocates, the tables'
     temporaries included, and overstates bound_vector's peak by at most half."""
-    rng = np.random.default_rng(359)
-    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
-    fac = EigenFactorization(rng.uniform(-1.0, 1.0, (n, n))
-                             + 1j * rng.uniform(-1.0, 1.0, (n, n)), nu)
-    poles = derive_poles(ExperimentConfig(n=128, trials=1))
-    v = FactoredPoly(poles, np.ones(poles.size, dtype=int), 1.0)
-    nodes = NodeList(0.5 * (rng.uniform(-1.0, 0.0, 9) + 1j * rng.uniform(-np.pi, np.pi, 9)))
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, n_mu)
+    fac, nodes, v, b = _memory_case(n)
+    estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, n_mu, s_samples)
     assert peak <= estimate <= 1.5 * peak
-    estimate, peak = _peak_bytes(bound_bilinear, fac, nodes, v, b, n_mu)
+    estimate, peak = _peak_bytes(bound_bilinear, fac, nodes, v, b, n_mu, s_samples)
     assert peak <= estimate
+
+
+def test_grid_memory_does_not_grow_with_s_samples():
+    """At n = 256, 2,001 s samples take bound_vector's traced peak to within
+    2x of its peak with 11: the grid holds one block of tables at a time,
+    not all n_s (deg v + 1) n entries of X and Y, over 200 MiB at this size.
+    bound_bilinear's whole block is smaller than the 2,001 x 50 values
+    (800 KB) that either route keeps for the argmax, so its 2x holds once
+    they are set aside."""
+    fac, nodes, v, b = _memory_case(256)
+    values = 8 * 2001 * 50
+    for route, kept in ((bound_vector, 0), (bound_bilinear, values)):
+        _, few = _peak_bytes(route, fac, nodes, v, b, 50, 11)
+        _, many = _peak_bytes(route, fac, nodes, v, b, 50, 2001)
+        assert many - kept <= 2 * few
 
 
 def test_gram_form_memory_has_no_n_times_mu_term():
     """At n = 256 with 2,000 mu samples the tensor of core vectors alone
     takes 11 * 256 * 2000 * 16 B = 90 MB; the Gram form's peak is bounded by
     its tables, each of size n_s n_mu K or n_s K n."""
-    rng = np.random.default_rng(359)
     n, n_mu = 256, 2000
-    nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
-    fac = EigenFactorization(rng.uniform(-1.0, 1.0, (n, n))
-                             + 1j * rng.uniform(-1.0, 1.0, (n, n)), nu)
-    poles = derive_poles(ExperimentConfig(n=128, trials=1))
-    v = FactoredPoly(poles, np.ones(poles.size, dtype=int), 1.0)
-    nodes = NodeList(0.5 * (rng.uniform(-1.0, 0.0, 9) + 1j * rng.uniform(-np.pi, np.pi, 9)))
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fac, nodes, v, b = _memory_case(n)
     q = BoundQuery(fac, nodes, v, mu_samples=n_mu)
     n_s, K = q.s_grid.size, v.degree + 1
     tracemalloc.start()
@@ -492,8 +552,9 @@ def test_factored_tables_match_pointwise_jet(case):
 
 
 def test_bound_grid_is_factored(monkeypatch):
-    """No jet call per grid point, and one product with S of n_s (deg v + 1)
-    columns for the whole grid."""
+    """No jet call per grid point, and one product with S per block of s
+    samples: at n = 128 the default grid is one block of n_s (deg v + 1)
+    columns, and a GRID_BLOCK of four samples' tables splits it 4 + 4 + 3."""
     fac, b, d, nodes, v, _ = _factored_case("xp-run-n128")
 
     def pointwise(self, z):
@@ -512,6 +573,10 @@ def test_bound_grid_is_factored(monkeypatch):
     bound_vector(q, b)
     bound_bilinear(q, b, d)
     assert widths == [11 * (v.degree + 1)]
+    monkeypatch.setattr(bounds, "GRID_BLOCK", 4 * (v.degree + 1) * (fac.order + q.mu_points.size))
+    widths.clear()
+    bound_vector(q, b)
+    assert widths == [4 * (v.degree + 1), 4 * (v.degree + 1), 3 * (v.degree + 1)]
     C, X = q._tables()
     assert C.shape == (11, q.mu_points.size, v.degree + 1)
     assert X.shape == (11, v.degree + 1, fac.order)

@@ -337,8 +337,9 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 def test_run_refuses_an_order_beyond_physical_memory(tmp_path, capsys):
     """At the smallest n whose S and LU buffer (32 n^2 bytes) exceed physical
     memory, `xp run` refuses the config before drawing S, and `xp poles`,
-    which draws none, still runs: the 11 x 50 grid's tables at that n
-    (185,600 + 4,752 n bytes) are far below physical memory on any machine."""
+    which draws none, still runs: the 11 x 50 grid's values and one block of
+    its tables at that n (24,400 + 336 n bytes) are far below physical
+    memory on any machine."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     n = math.isqrt(have // 32) + 1
     cfg = _dump(tmp_path, "cfg.json", {"n": n, "outdir": str(tmp_path / "out")})
