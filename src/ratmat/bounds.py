@@ -10,7 +10,7 @@ Omega), denominator v, and f = exp_t,
 in bilinear and vector-norm flavors.  The maximum over the hull
 is taken over boundary samples only (maximum modulus), and the s range over a
 uniform grid; both grid sizes are part of the query and the result.  The grid
-is evaluated a block of s samples at a time (GRID_BLOCK), so its tables take
+is evaluated a block of s samples at a time (block_rows), so its tables take
 the same memory whatever the number of s samples.
 """
 
@@ -30,8 +30,9 @@ from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
                      factorize, real_from_json, require_memory)
 
 # Table entries per block of s samples in the e1 grid (512 KB of C and X at
-# 16 bytes each): xp run's default 11 x 50 grid (deg v = 8) is one block up
-# to n = 280 and four blocks of three samples or fewer at n = 1024.
+# 16 bytes each), unless the LU of S, freed before the grid, holds more (see
+# block_rows): xp run's default 11 x 50 grid (deg v = 8) is one block at
+# every order, by this rule up to n = 280 and by the LU's from n = 279.
 GRID_BLOCK = 1 << 15
 
 
@@ -54,10 +55,21 @@ class BoundResult:
         }
 
 
+def _sample_entries(n: int, n_mu: int, K: int) -> int:
+    """The 16-byte entries one s sample of a block takes at its peak: 2K + 6
+    arrays over the mu points (C and the Taylor array or G C, a, e^(ta) and
+    temporaries) and 2K + 3 over the eigenvalues (X and Y, x and temporaries)."""
+    return (2 * K + 6) * n_mu + (2 * K + 3) * n
+
+
 def block_rows(n_s: int, n: int, n_mu: int, K: int) -> int:
-    """s samples per block of the grid: as many as fit in GRID_BLOCK of the
-    K (n + n_mu) table entries (X and C) one sample takes, at least one."""
-    return min(n_s, max(1, GRID_BLOCK // (K * (n + n_mu))))
+    """s samples per block of the grid, at least one: as many as fit in
+    GRID_BLOCK of the K (n + n_mu) table entries (X and C) one sample takes,
+    or whole in the n^2 entries (16 n^2 bytes) that the LU of S held before
+    a trial or `xp bound` dropped it, whichever allows more.  A block is one
+    product with S, which reads all of S."""
+    return min(n_s, max(1, GRID_BLOCK // (K * (n + n_mu)),
+                        n * n // _sample_entries(n, n_mu, K)))
 
 
 def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
@@ -77,13 +89,10 @@ def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) 
             raise ValueError(f"{name} is beyond numpy's index range")
     # the peak of the grid's evaluation in bytes: the mu points (the hull's
     # vertices are distinct nodes, so n_mu bounds mu_grid's count), the
-    # n_s n_mu real values, and one block of r s samples: per sample, 2K + 6
-    # arrays over the mu points (C and the Taylor array or G C, a, e^(ta) and
-    # temporaries) and 2K + 3 over the eigenvalues (X and Y, x and temporaries)
+    # n_s n_mu real values, and one block of s samples
     n_mu = max(mu_samples, nodes)
     r = block_rows(s_samples, n, n_mu, K)
-    grid_bytes = (16 * (n_mu + r * ((2 * K + 6) * n_mu + (2 * K + 3) * n))
-                  + 8 * s_samples * n_mu)
+    grid_bytes = 16 * (n_mu + r * _sample_entries(n, n_mu, K)) + 8 * s_samples * n_mu
     require_memory(grid_bytes, f"the {s_samples} x {n_mu} grid is too big: its tables")
     return grid_bytes
 
@@ -99,7 +108,8 @@ class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
     ``A`` is a matrix or an EigenFactorization (see linalg.factorize), whose
-    LU applies S^-1 to b.  ``v`` is the fixed denominator and f = exp_t, so
+    LU applies S^-1 to b unless the caller passes c = S^-1 b, as it must
+    once the LU is dropped.  ``v`` is the fixed denominator and f = exp_t, so
     ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) = e^(t.) w; the
     grid is evaluated in factored form from its Taylor coefficients (see
     ``_tables``), with no jet call per point.  The evaluation always runs

@@ -89,12 +89,14 @@ def bound_cmd(args) -> int:
         return 0
 
     # the BLAS threads follow the order as a trial's do, so the bits ignore
-    # the cores; A is factorized and c = S^-1 b solved once for all three steps
+    # the cores; A is factorized and c = S^-1 b solved once for all three
+    # steps, and the LU of S is freed after reduce's solve, the last one
     with blas_pin(A.shape[0]):
         fac = factorize(A)
         c = fac.solve(b)
         V, _ = build_krylov_basis(fac, b, spec, d=d, c=c)
         model = reduce(fac, b, V, d=d, spec=spec)
+        fac.drop_lu()
         res = arnoldi_error_bound(model, fac, b, d=d, t=args.t,
                                   s_samples=args.s_samples,
                                   mu_samples=args.mu_samples, c=c)

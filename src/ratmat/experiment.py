@@ -221,11 +221,14 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     b = raw / np.linalg.norm(raw)
 
     # basis, projection, e0 and e1 all run through the one factorization
-    # and the one solve c = S^-1 b; A itself is never formed
+    # and the one solve c = S^-1 b; A itself is never formed.  reduce does
+    # the last solve, so the LU of S is freed before e0 and the e1 grid,
+    # which need only products with S
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
     c = fac.solve(b)
     V, _ = build_krylov_basis(fac, b, spec, c=c)
     model = reduce(fac, b, V, spec=spec)
+    fac.drop_lu()
 
     exact = S @ (np.exp(config.t * nu) * c)
     approx = impulse_reduced(model, config.t, kind="vector")

@@ -161,6 +161,24 @@ def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
 
 
+def _norms(S: np.ndarray) -> tuple:
+    """(||S||_1, ||S||_inf) of a C-contiguous 2-D S, read a block of rows at
+    a time with no n x n temporary.  The bits are those of
+    np.abs(S).sum(axis=0).max() and np.abs(S).sum(axis=1).max(): numpy sums
+    over axis 0 row after row, so a block's rows are added after the running
+    column sums (row 0 of the buffer) in that order, and each row sums alone."""
+    if not S.size:
+        return 0.0, 0.0
+    rows = max(1, COPY_BLOCK // S.shape[1])
+    buf = np.zeros((min(rows, S.shape[0]) + 1, S.shape[1]))
+    row_sums = np.empty(S.shape[0])
+    for i in range(0, S.shape[0], rows):
+        block = buf[:1 + min(rows, S.shape[0] - i)]
+        np.abs(S[i:i + rows], out=block[1:]).sum(axis=1, out=row_sums[i:i + rows])
+        buf[0] = block.sum(axis=0)
+    return float(buf[0].max()), float(row_sums.max())
+
+
 def _column_major(S: np.ndarray) -> np.ndarray:
     """A column-major copy of the row-major S, made a block of rows at a
     time; the one-pass transposing copy that numpy or f2py would make
@@ -176,28 +194,34 @@ def _column_major(S: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenFactorization:
-    """Eigen decomposition A = S diag(eigenvalues) S^-1, with S held as its LU.
+    """Eigen decomposition A = S diag(eigenvalues) S^-1, with S and its LU.
 
     S is held as given, not copied, when it is C-contiguous complex128, so
     its owner must leave it unchanged; zgetrf factors a column-major copy in
-    place.  S^-1 is never formed: ``solve`` and
-    ``solve_adjoint`` apply S^-1 and S^-H through the LU factors and check
-    the backward error of what they return.  ``cond_estimate`` is LAPACK's
-    one-norm condition estimate of S (zgecon; N. J. Higham, ACM TOMS 14,
-    1988), infinite when S is singular.  A factorization is not ``usable``
-    when S is too ill-conditioned to solve with reliably; the eigenvalue
-    list is still valid in that case.
+    place.  S^-1 is never formed: ``solve`` and ``solve_adjoint`` apply S^-1
+    and S^-H through the LU factors and check the backward error of what
+    they return against S, whose one- and infinity-norms (``norm1``,
+    ``norm_inf``) are read once, here, a block of rows at a time.
+    ``cond_estimate`` is LAPACK's one-norm condition estimate of S (zgecon;
+    N. J. Higham, ACM TOMS 14, 1988), infinite when S is singular.  A
+    factorization is not ``usable`` when S is too ill-conditioned to solve
+    with reliably; the eigenvalue list is still valid in that case.
+
+    ``drop_lu`` frees the LU, 16 n^2 bytes like S itself, once the last
+    solve is done.  Products with S, the norms, the estimate and the
+    eigenvalues stay; a solve after it raises ValueError.
     """
 
     S: np.ndarray
     eigenvalues: np.ndarray
-    lu: tuple = field(init=False, repr=False)
+    lu: tuple | None = field(init=False, repr=False)
     norm1: float = field(init=False)
+    norm_inf: float = field(init=False)
     cond_estimate: float = field(init=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=np.complex128, order="C")
-        self.norm1 = _norm1(S) if S.ndim == 2 else np.nan
+        self.norm1, self.norm_inf = _norms(S) if S.ndim == 2 else (np.nan, np.nan)
         # a NaN or inf entry makes its column sum, and so the norm, non-finite;
         # only then (or for a misshapen S) does the entrywise check run, for its
         # message, and a finite S whose norm overflows passes it
@@ -235,6 +259,10 @@ class EigenFactorization:
             return blas.zgemm(1.0, self.S.T, X.conj().T, trans_b=1).T
         return blas.zgemm(1.0, X, self.S.T, trans_a=1).T
 
+    def drop_lu(self) -> None:
+        """Free the LU factors of S; every solve after this is refused."""
+        self.lu = None
+
     def solve(self, Y) -> np.ndarray:
         """S^-1 Y for a vector or a block of columns Y."""
         return self._solve(Y, adjoint=False)
@@ -246,13 +274,15 @@ class EigenFactorization:
     def _solve(self, Y, adjoint: bool) -> np.ndarray:
         """M^-1 Y for M = S or S^H, refused when its normwise backward error
         ||M X - Y||_1 / (||M||_1 ||X||_1) exceeds BACKWARD_TOL."""
+        if self.lu is None:
+            raise ValueError("solve with S after drop_lu: its LU factors are gone")
         Y = np.asarray(Y, dtype=np.complex128)
         X, _ = lapack.zgetrs(*self.lu, Y.reshape(Y.shape[0], -1),
                              trans=2 if adjoint else 0)
         X = X.reshape(Y.shape)
         if adjoint:  # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
             MX = (self.times(X, left=True) if X.ndim == 2 else X.conj() @ self.S).conj().T
-            norm = float(np.abs(self.S).sum(axis=1).max())
+            norm = self.norm_inf
         else:  # a block goes through times, a vector stays a numpy product
             MX, norm = self.times(X) if X.ndim == 2 else self.S @ X, self.norm1
         resid, scale = _norm1(MX - Y), norm * _norm1(X)

@@ -199,6 +199,7 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=Non
     vectors = [x0] if kappa0 else []
     if cols:
         C = np.array(cols).T  # column-major, so times copies nothing
+        del cols, y  # C holds them now
         vectors += list((fac.solve_adjoint(C) if dual else fac.times(C)).T)
     return vectors
 
@@ -256,7 +257,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
 
     A is a matrix or an EigenFactorization; either way
     Ahat = ((V^H S) diag(nu)) (S^-1 V) without forming A, with S^-1 V one
-    block solve with the LU of S and V^H S one block product.
+    block solve with the LU of S, taken first, and V^H S one block product.
     """
     fac = factorize(A)
     b = as_vector(b)
@@ -265,7 +266,8 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
     ortho = np.abs(V.conj().T @ V - np.eye(nh)).max()
     if ortho > 1e-10:
         raise ValueError(f"V is not orthonormal: deviation {ortho:.2e}")
-    Ahat = (fac.times(V, left=True) * fac.eigenvalues) @ fac.solve(V)
+    W = fac.solve(V)
+    Ahat = (fac.times(V, left=True) * fac.eigenvalues) @ W
     bhat = V.conj().T @ b
     dhat = V.conj().T @ as_vector(d) if d is not None else None
     return ReducedModel(V, Ahat, bhat, dhat, spec=spec)

@@ -29,6 +29,32 @@ def acceptance_report():
     return gate
 
 
+@pytest.fixture
+def lu_events(monkeypatch):
+    """Given an order n, a list that records in call order the solves
+    ("_solve"), block products ("times") and LU drop ("drop_lu") of every
+    order-n EigenFactorization; a block solve's residual check is the
+    product after it."""
+    from ratmat.linalg import EigenFactorization
+
+    def record(n):
+        events = []
+
+        def recording(name, real):
+            def method(self, *args, **kwargs):
+                if self.order == n:
+                    events.append(name)
+                return real(self, *args, **kwargs)
+            return method
+
+        for name in ("_solve", "times", "drop_lu"):
+            monkeypatch.setattr(EigenFactorization, name,
+                                recording(name, getattr(EigenFactorization, name)))
+        return events
+
+    return record
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

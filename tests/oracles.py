@@ -543,6 +543,45 @@ def dense_krylov_vectors(A, x, kappa0, pole_mults, dual):
     return out
 
 
+def krylov_basis_longdouble(S, nu, b, kappa0, pole_mults, refinements=3):
+    """Orthonormal basis, in np.clongdouble, of the one-sided rational Krylov
+    space of A = S diag(nu) S^-1 and b in listing order (see
+    dense_krylov_vectors): c = S^-1 b solved in double and refined against
+    S with residuals in extended precision, the vectors b, S (nu^j c) and
+    S (c / (lam - nu)^j) formed in np.clongdouble, then two passes of
+    modified Gram-Schmidt.  On x86-64 long double carries 64 bits of
+    mantissa, so c and the basis hold about three more digits than any
+    double route to them."""
+    Sl, bl, nul = (np.asarray(x, dtype=np.clongdouble) for x in (S, b, nu))
+    c = np.linalg.solve(S, b).astype(np.clongdouble)
+    for _ in range(refinements):
+        c += np.linalg.solve(S, (bl - Sl @ c).astype(np.complex128))
+    cols, y = ([bl] if kappa0 else []), c
+    for _ in range(1, kappa0):
+        y = nul * y
+        cols.append(Sl @ y)
+    for lam, m in pole_mults:
+        y = c
+        for _ in range(m):
+            y = y / (lam - nul)
+            cols.append(Sl @ y)
+    basis = []
+    for w in cols:
+        for _ in range(2):
+            for q in basis:
+                w = w - (q.conj() @ w) * q
+        basis.append(w / np.sqrt(np.sum(w.real ** 2 + w.imag ** 2)))
+    return np.column_stack(basis)
+
+
+def span_gap(Q, V) -> float:
+    """||(I - Q Q^H) V||_2 for orthonormal Q (any precision) and V: the sine
+    of the largest principal angle between their spans when they have the
+    same dimension."""
+    V = np.asarray(V, dtype=Q.dtype)
+    return float(np.linalg.norm((V - Q @ (Q.conj().T @ V)).astype(np.complex128), 2))
+
+
 def draw_eigenvectors_summed(rng, n):
     """S as the sum of a real draw and i times a second real draw, the
     expression the trial's one-buffer draw replaced."""

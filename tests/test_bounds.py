@@ -418,8 +418,8 @@ def test_gram_form_matches_tensor_oracle_random_systems(n, seed, kappa0, poles,
 @given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1), kappa0=st.integers(1, 2),
        poles=_POLES, two_sided=st.booleans(), grid=st.sampled_from([(2, 1), (11, 50), (5, 17)]))
 def test_blocks_of_one_s_sample_match_one_block(n, seed, kappa0, poles, two_sided, grid):
-    """With GRID_BLOCK = 1 every block of the grid is one s sample.  Both
-    routes then give the values of the one block the default takes at these
+    """With block_rows set to 1 every block of the grid is one s sample.
+    Both routes then give the values of the one block the default takes at these
     orders to 1e-15 of the grid's largest, and bound_vector those of the
     R-tensor oracle, with the same argmax but for ties within 1e-9."""
     fac, b, d, nodes, v = _random_system(n, seed, kappa0, poles, two_sided)
@@ -429,7 +429,7 @@ def test_blocks_of_one_s_sample_match_one_block(n, seed, kappa0, poles, two_side
     for route, args in ((bound_vector, (b,)), (bound_bilinear, (b, d))):
         whole, want = _recorded(route, q, *args)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "GRID_BLOCK", 1)
+            mp.setattr(bounds, "block_rows", lambda *_: 1)
             assert len(q._blocks()) == q.s_grid.size
             got, values = _recorded(route, q, *args)
         references = [(whole, want)]
@@ -448,15 +448,16 @@ def test_blocks_of_one_s_sample_match_one_block(n, seed, kappa0, poles, two_side
 def test_s_one_row_is_one_value(n, seed, kappa0, poles, two_sided, shift):
     """At s = 1 the value does not depend on mu, and bound_vector's row there
     is bitwise constant, so an argmax on it reports mu_points[0] by the tie
-    rule, also when the row is alone in the grid's last block
-    (GRID_BLOCK = 1).  The reduced nodes are shifted left, which moves most
+    rule, also when the row is alone in the grid's last block (block_rows
+    set to 1).  The reduced nodes are shifted left, which moves most
     argmaxes to s = 1."""
     fac, b, _, nodes, v = _random_system(n, seed, kappa0, poles, two_sided)
     q = BoundQuery(fac, NodeList(nodes.nodes - shift), v)
-    for block in (bounds.GRID_BLOCK, 1):
+    for one_sample in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "GRID_BLOCK", block)
-            assert len(q._blocks()) == (1 if block > 1 else q.s_grid.size)
+            if one_sample:
+                mp.setattr(bounds, "block_rows", lambda *_: 1)
+            assert len(q._blocks()) == (q.s_grid.size if one_sample else 1)
             res, values = _recorded(bound_vector, q, b)
         assert np.all(values[-1] == values[-1, 0])
         if res.argmax_s == 1.0:
@@ -491,11 +492,15 @@ def _peak_bytes(route, fac, nodes, v, b, n_mu, s_samples=11):
 
 
 @pytest.mark.parametrize("n, n_mu, s_samples", [(256, 2000, 11), (128, 20000, 11),
-                                                (256, 50, 2001)],
-                         ids=["256-2000", "128-20000", "256-50-2001"])
+                                                (256, 50, 2001), (512, 50, 201),
+                                                (1024, 50, 11)],
+                         ids=["256-2000", "128-20000", "256-50-2001", "512-50-201",
+                              "1024-50-11"])
 def test_grid_bytes_counts_the_peak(n, n_mu, s_samples):
     """The memory cap's estimate covers what the grid allocates, the tables'
-    temporaries included, and overstates bound_vector's peak by at most half."""
+    temporaries included, and overstates bound_vector's peak by at most half;
+    also where the freed LU's n^2 entries, not GRID_BLOCK, size the blocks
+    (21 samples at n = 512, xp run's one block of 11 at n = 1024)."""
     fac, nodes, v, b = _memory_case(n)
     estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, n_mu, s_samples)
     assert peak <= estimate <= 1.5 * peak
@@ -581,6 +586,30 @@ def test_bound_grid_is_factored(monkeypatch):
     assert C.shape == (11, q.mu_points.size, v.degree + 1)
     assert X.shape == (11, v.degree + 1, fac.order)
     assert np.abs(X[:, 0]).max(axis=1) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, many", [(281, 11), (1024, 46)])
+def test_default_grid_is_one_product_with_S(monkeypatch, n, many):
+    """xp run's default 11 x 50 grid (deg v = 8) is one product with S of 99
+    columns at every order.  GRID_BLOCK alone holds 10 samples at n = 281
+    and 3 at n = 1024; the n^2 entries of the LU that a trial frees before
+    the grid hold 11 and 46, the block 201 s samples then take."""
+    fac, nodes, v, b = _memory_case(n)
+    q = BoundQuery(fac, nodes, v)
+    K, n_mu = v.degree + 1, q.mu_points.size
+    assert (K, n_mu) == (9, 50)
+    assert bounds.GRID_BLOCK // (K * (n + n_mu)) == {281: 10, 1024: 3}[n]
+    assert bounds.block_rows(201, n, n_mu, K) == many
+    widths = []
+    times = EigenFactorization.times
+
+    def recording(self, X):
+        widths.append(np.shape(X)[1])
+        return times(self, X)
+
+    monkeypatch.setattr(EigenFactorization, "times", recording)
+    bound_vector(q, b)
+    assert widths == [11 * K]
 
 
 def test_bound_overflow_is_refused():

@@ -210,6 +210,20 @@ def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
     assert calls == [32, 18]
 
 
+def test_bound_drops_the_lu_after_its_last_solve(tmp_path, capsys, lu_events):
+    """xp bound frees the LU of S after reduce's solve, the last one: S^-1 b,
+    the primal block S C, S^-H on the dual block, S^-1 V (each block solve
+    with its residual product) and V^H S run before, and the bilinear grid,
+    which takes no block product, after."""
+    A, b, d = _rectangle_system(np.random.default_rng(32), 32)
+    args = _bound_args(tmp_path, A, b, _fitted_spec(chi=1), d=d)
+    events = lu_events(32)
+    assert main(args) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["e1"] > 0.0
+    assert events == ["_solve", "times", "_solve", "times", "_solve", "times", "times",
+                      "drop_lu"]
+
+
 def test_bound_forms_no_inverse(tmp_path, capsys, monkeypatch):
     """S^-1 of A and of Ahat is applied by solves; no inverse is formed."""
     A, b, d = _rectangle_system(np.random.default_rng(64), 64)

@@ -258,7 +258,7 @@ def test_run_trial_solves_for_b_once(monkeypatch):
 
 def test_run_trial_block_products_go_through_times(monkeypatch):
     """Every block product with S of a trial is EigenFactorization.times:
-    the Krylov block, V^H S, the check of S^-1 V and the grid's 99 columns."""
+    the Krylov block, the check of S^-1 V, V^H S and the grid's 99 columns."""
     n = 32
     config = ExperimentConfig(n=n, trials=1)
     poles = derive_poles(config)
@@ -272,7 +272,18 @@ def test_run_trial_block_products_go_through_times(monkeypatch):
 
     monkeypatch.setattr(EigenFactorization, "times", recording)
     run_trial(config, poles, np.random.default_rng([0, 3]))
-    assert seen == [(8, False), (9, True), (9, False), (99, False)]
+    assert seen == [(8, False), (9, False), (9, True), (99, False)]
+
+
+def test_run_trial_drops_the_lu_after_its_last_solve(lu_events):
+    """A trial frees the LU of S right after reduce: S^-1 b, the Krylov
+    block S C, S^-1 V with its residual product and V^H S run before, e0 and
+    the grid (one product of 99 columns) after, on S alone."""
+    n = 32
+    config = ExperimentConfig(n=n, trials=1)
+    events = lu_events(n)
+    run_trial(config, derive_poles(config), np.random.default_rng([0, 3]))
+    assert events == ["_solve", "times", "_solve", "times", "times", "drop_lu", "times"]
 
 
 def test_run_trial_gives_up_after_max_redraws(monkeypatch):
