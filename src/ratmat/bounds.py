@@ -30,9 +30,10 @@ from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
                      factorize, real_from_json, require_memory)
 
 # Table entries per block of s samples in the e1 grid (512 KB of C and X at
-# 16 bytes each), unless the LU of S, freed before the grid, holds more (see
-# block_rows): xp run's default 11 x 50 grid (deg v = 8) is one block at
-# every order, by this rule up to n = 280 and by the LU's from n = 279.
+# 16 bytes each), unless the LU of S was freed before the grid and its room
+# holds more (see block_rows): xp run's default 11 x 50 grid (deg v = 8) is
+# one block at every order, by this rule up to n = 280 and by the LU's from
+# n = 279.
 GRID_BLOCK = 1 << 15
 
 
@@ -62,14 +63,15 @@ def _sample_entries(n: int, n_mu: int, K: int) -> int:
     return (2 * K + 6) * n_mu + (2 * K + 3) * n
 
 
-def block_rows(n_s: int, n: int, n_mu: int, K: int) -> int:
+def block_rows(n_s: int, n: int, n_mu: int, K: int, lu_freed: bool) -> int:
     """s samples per block of the grid, at least one: as many as fit in
     GRID_BLOCK of the K (n + n_mu) table entries (X and C) one sample takes,
-    or whole in the n^2 entries (16 n^2 bytes) that the LU of S held before
-    a trial or `xp bound` dropped it, whichever allows more.  A block is one
-    product with S, which reads all of S."""
+    or, once the LU of S is freed (as a trial and `xp bound` do), whole in
+    the n^2 entries (16 n^2 bytes) it held, whichever allows more.  A block
+    is one product with S, which reads all of S."""
+    room = n * n if lu_freed else 0
     return min(n_s, max(1, GRID_BLOCK // (K * (n + n_mu)),
-                        n * n // _sample_entries(n, n_mu, K)))
+                        room // _sample_entries(n, n_mu, K)))
 
 
 def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) -> int:
@@ -89,9 +91,10 @@ def check_query(t, s_samples: int, mu_samples: int, n: int, K: int, nodes: int) 
             raise ValueError(f"{name} is beyond numpy's index range")
     # the peak of the grid's evaluation in bytes: the mu points (the hull's
     # vertices are distinct nodes, so n_mu bounds mu_grid's count), the
-    # n_s n_mu real values, and one block of s samples
+    # n_s n_mu real values, and one block of s samples, the larger one that
+    # the room of a freed LU allows
     n_mu = max(mu_samples, nodes)
-    r = block_rows(s_samples, n, n_mu, K)
+    r = block_rows(s_samples, n, n_mu, K, True)
     grid_bytes = 16 * (n_mu + r * _sample_entries(n, n_mu, K)) + 8 * s_samples * n_mu
     require_memory(grid_bytes, f"the {s_samples} x {n_mu} grid is too big: its tables")
     return grid_bytes
@@ -148,7 +151,8 @@ class BoundQuery:
     def _blocks(self):
         """The s grid as slices of block_rows samples each."""
         n_s = self.s_grid.size
-        rows = block_rows(n_s, self.fac.order, self.mu_points.size, self.v.degree + 1)
+        rows = block_rows(n_s, self.fac.order, self.mu_points.size, self.v.degree + 1,
+                          self.fac.lu is None)
         return [slice(j, j + rows) for j in range(0, n_s, rows)]
 
     def _tables(self, rows=slice(None)):

@@ -210,10 +210,10 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
           + 1j * rng.uniform(r["im_min"], r["im_max"], n))
 
     for redraws in range(MAX_REDRAWS + 1):
-        S = draw_eigenvectors(rng, n)
-        fac = EigenFactorization(S, nu)
+        fac = EigenFactorization(draw_eigenvectors(rng, n), nu)
         if fac.cond_estimate <= COND_LIMIT:
             break
+        del fac  # a refused S and its LU go before the next draw
     else:
         raise RuntimeError(f"no acceptably conditioned S in {MAX_REDRAWS + 1} draws")
 
@@ -230,7 +230,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     model = reduce(fac, b, V, spec=spec)
     fac.drop_lu()
 
-    exact = S @ (np.exp(config.t * nu) * c)
+    exact = fac.S @ (np.exp(config.t * nu) * c)
     approx = impulse_reduced(model, config.t, kind="vector")
     e0 = float(np.linalg.norm(exact - approx))
 

@@ -161,24 +161,6 @@ def _norm1(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=0).max()) if m.size else 0.0
 
 
-def _norms(S: np.ndarray) -> tuple:
-    """(||S||_1, ||S||_inf) of a C-contiguous 2-D S, read a block of rows at
-    a time with no n x n temporary.  The bits are those of
-    np.abs(S).sum(axis=0).max() and np.abs(S).sum(axis=1).max(): numpy sums
-    over axis 0 row after row, so a block's rows are added after the running
-    column sums (row 0 of the buffer) in that order, and each row sums alone."""
-    if not S.size:
-        return 0.0, 0.0
-    rows = max(1, COPY_BLOCK // S.shape[1])
-    buf = np.zeros((min(rows, S.shape[0]) + 1, S.shape[1]))
-    row_sums = np.empty(S.shape[0])
-    for i in range(0, S.shape[0], rows):
-        block = buf[:1 + min(rows, S.shape[0] - i)]
-        np.abs(S[i:i + rows], out=block[1:]).sum(axis=1, out=row_sums[i:i + rows])
-        buf[0] = block.sum(axis=0)
-    return float(buf[0].max()), float(row_sums.max())
-
-
 def _column_major(S: np.ndarray) -> np.ndarray:
     """A column-major copy of the row-major S, made a block of rows at a
     time; the one-pass transposing copy that numpy or f2py would make
@@ -201,7 +183,8 @@ class EigenFactorization:
     place.  S^-1 is never formed: ``solve`` and ``solve_adjoint`` apply S^-1
     and S^-H through the LU factors and check the backward error of what
     they return against S, whose one- and infinity-norms (``norm1``,
-    ``norm_inf``) are read once, here, a block of rows at a time.
+    ``norm_inf``) are read once, here, from one |S| freed before the LU
+    buffer is made.
     ``cond_estimate`` is LAPACK's one-norm condition estimate of S (zgecon;
     N. J. Higham, ACM TOMS 14, 1988), infinite when S is singular.  A
     factorization is not ``usable`` when S is too ill-conditioned to solve
@@ -221,11 +204,15 @@ class EigenFactorization:
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=np.complex128, order="C")
-        self.norm1, self.norm_inf = _norms(S) if S.ndim == 2 else (np.nan, np.nan)
+        if S.ndim == 2:  # |S| takes 8 n^2 bytes, half of the LU buffer made below
+            absS = np.abs(S)
+            self.norm1 = float(absS.sum(axis=0).max(initial=0.0))
+            self.norm_inf = float(absS.sum(axis=1).max(initial=0.0))
+            del absS
         # a NaN or inf entry makes its column sum, and so the norm, non-finite;
         # only then (or for a misshapen S) does the entrywise check run, for its
         # message, and a finite S whose norm overflows passes it
-        if not np.isfinite(self.norm1) or S.shape[0] != S.shape[1]:
+        if S.ndim != 2 or not np.isfinite(self.norm1) or S.shape[0] != S.shape[1]:
             S = as_square_matrix(S, "S")
         self.S = S
         self.eigenvalues = as_vector(self.eigenvalues, "eigenvalues")

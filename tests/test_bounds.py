@@ -478,10 +478,9 @@ def _memory_case(n):
     return fac, nodes, v, b
 
 
-def _peak_bytes(route, fac, nodes, v, b, n_mu, s_samples=11):
+def _peak_bytes(route, fac, nodes, v, b, c, n_mu, s_samples=11):
     """BoundQuery.grid_bytes, and the traced peak of setting the query up
-    and evaluating its grid on one route."""
-    c = fac.solve(b)
+    and evaluating its grid on one route, given c = S^-1 b."""
     tracemalloc.start()
     try:
         q = BoundQuery(fac, nodes, v, s_samples=s_samples, mu_samples=n_mu)
@@ -498,13 +497,20 @@ def _peak_bytes(route, fac, nodes, v, b, n_mu, s_samples=11):
                               "1024-50-11"])
 def test_grid_bytes_counts_the_peak(n, n_mu, s_samples):
     """The memory cap's estimate covers what the grid allocates, the tables'
-    temporaries included, and overstates bound_vector's peak by at most half;
-    also where the freed LU's n^2 entries, not GRID_BLOCK, size the blocks
-    (21 samples at n = 512, xp run's one block of 11 at n = 1024)."""
+    temporaries included, and overstates bound_vector's peak by at most half
+    once the LU is freed, also where its n^2 entries, not GRID_BLOCK, size
+    the blocks (21 samples at n = 512, xp run's one block of 11 at
+    n = 1024).  With the LU held the blocks keep to GRID_BLOCK, within the
+    same estimate."""
     fac, nodes, v, b = _memory_case(n)
-    estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, n_mu, s_samples)
+    c = fac.solve(b)
+    for route in (bound_vector, bound_bilinear):
+        estimate, peak = _peak_bytes(route, fac, nodes, v, b, c, n_mu, s_samples)
+        assert peak <= estimate
+    fac.drop_lu()
+    estimate, peak = _peak_bytes(bound_vector, fac, nodes, v, b, c, n_mu, s_samples)
     assert peak <= estimate <= 1.5 * peak
-    estimate, peak = _peak_bytes(bound_bilinear, fac, nodes, v, b, n_mu, s_samples)
+    estimate, peak = _peak_bytes(bound_bilinear, fac, nodes, v, b, c, n_mu, s_samples)
     assert peak <= estimate
 
 
@@ -516,10 +522,11 @@ def test_grid_memory_does_not_grow_with_s_samples():
     (800 KB) that either route keeps for the argmax, so its 2x holds once
     they are set aside."""
     fac, nodes, v, b = _memory_case(256)
+    c = fac.solve(b)
     values = 8 * 2001 * 50
     for route, kept in ((bound_vector, 0), (bound_bilinear, values)):
-        _, few = _peak_bytes(route, fac, nodes, v, b, 50, 11)
-        _, many = _peak_bytes(route, fac, nodes, v, b, 50, 2001)
+        _, few = _peak_bytes(route, fac, nodes, v, b, c, 50, 11)
+        _, many = _peak_bytes(route, fac, nodes, v, b, c, 50, 2001)
         assert many - kept <= 2 * few
 
 
@@ -591,15 +598,19 @@ def test_bound_grid_is_factored(monkeypatch):
 @pytest.mark.parametrize("n, many", [(281, 11), (1024, 46)])
 def test_default_grid_is_one_product_with_S(monkeypatch, n, many):
     """xp run's default 11 x 50 grid (deg v = 8) is one product with S of 99
-    columns at every order.  GRID_BLOCK alone holds 10 samples at n = 281
-    and 3 at n = 1024; the n^2 entries of the LU that a trial frees before
-    the grid hold 11 and 46, the block 201 s samples then take."""
+    columns at every order once the LU is freed, as a trial and xp bound
+    free it.  GRID_BLOCK alone holds 10 samples at n = 281 and 3 at
+    n = 1024, so a caller that keeps the LU takes 2 and 4 products; the
+    n^2 entries of a freed LU hold 11 and 46, the block 201 s samples then
+    take."""
     fac, nodes, v, b = _memory_case(n)
     q = BoundQuery(fac, nodes, v)
     K, n_mu = v.degree + 1, q.mu_points.size
     assert (K, n_mu) == (9, 50)
-    assert bounds.GRID_BLOCK // (K * (n + n_mu)) == {281: 10, 1024: 3}[n]
-    assert bounds.block_rows(201, n, n_mu, K) == many
+    held = {281: 10, 1024: 3}[n]
+    assert bounds.GRID_BLOCK // (K * (n + n_mu)) == held
+    assert bounds.block_rows(201, n, n_mu, K, False) == held
+    assert bounds.block_rows(201, n, n_mu, K, True) == many
     widths = []
     times = EigenFactorization.times
 
@@ -608,8 +619,14 @@ def test_default_grid_is_one_product_with_S(monkeypatch, n, many):
         return times(self, X)
 
     monkeypatch.setattr(EigenFactorization, "times", recording)
-    bound_vector(q, b)
+    c = fac.solve(b)
+    held_result = bound_vector(q, b)
+    assert widths == [K * min(held, 11 - j) for j in range(0, 11, held)]
+    widths.clear()
+    fac.drop_lu()
+    freed_result = bound_vector(q, b, c=c)
     assert widths == [11 * K]
+    assert freed_result.value == pytest.approx(held_result.value, rel=1e-13)
 
 
 def test_bound_overflow_is_refused():

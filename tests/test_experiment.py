@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,38 @@ def test_run_trial_gives_up_after_max_redraws(monkeypatch):
     with pytest.raises(RuntimeError,
                        match="no acceptably conditioned S in 11 draws"):
         run_trial(config, poles, np.random.default_rng([0, 0]))
+
+
+def test_a_redraw_frees_the_refused_S_and_its_LU(monkeypatch):
+    """A refused S and its LU are freed before the next draw, so a trial
+    with one redraw, forced by an infinite first estimate, peaks as one
+    without: at n = 512 about 8.4 MiB (S and its LU take 4 MiB each),
+    where holding the refused pair took 16.1 MiB."""
+    n = 512
+    config = ExperimentConfig(n=n, trials=1)
+    poles = derive_poles(config)
+    made = []
+
+    class FirstRefused(EigenFactorization):
+        def __post_init__(self):
+            super().__post_init__()
+            if not made:
+                self.cond_estimate = np.inf
+            made.append(None)
+
+    def traced(factorization):
+        monkeypatch.setattr(experiment, "EigenFactorization", factorization)
+        tracemalloc.start()
+        try:
+            rec = run_trial(config, poles, np.random.default_rng([0, 0]))
+            return rec, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain_rec, plain = traced(EigenFactorization)
+    redrawn_rec, redrawn = traced(FirstRefused)
+    assert (plain_rec.redraws, redrawn_rec.redraws, len(made)) == (0, 1, 2)
+    assert redrawn <= plain + 2 ** 18
 
 
 def _read_rows(path):

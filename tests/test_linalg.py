@@ -455,18 +455,52 @@ def test_drop_lu_frees_the_factors_and_refuses_a_solve():
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 5), (181, 181), (182, 182),
                                    (300, 300), (1000, 1000), (7, 300), (300, 7)])
 def test_norms_have_the_bits_of_the_whole_sums(shape):
-    """||S||_1 and ||S||_inf, read a block of rows at a time, are bit for bit
-    the maxima of np.abs(S).sum(axis=0) and .sum(axis=1); rows scaled over
-    ten decades make the order of the additions show.  From 182 columns up
-    S takes several blocks."""
+    """||S||_1 and ||S||_inf, read from one |S|, are bit for bit the maxima
+    of np.abs(S).sum(axis=0) and .sum(axis=1); rows scaled over ten decades
+    make the order of the additions show.  A non-square S has no norms to
+    read: it is refused with as_square_matrix's message."""
     rng = np.random.default_rng(shape)
     S = ((rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
          * 10.0 ** rng.uniform(-5.0, 5.0, (shape[0], 1)))
-    assert linalg._norms(S) == (float(np.abs(S).sum(axis=0).max()),
-                                float(np.abs(S).sum(axis=1).max()))
-    if shape[0] == shape[1]:
-        fac = EigenFactorization(S, np.arange(shape[0]))
-        assert (fac.norm1, fac.norm_inf) == linalg._norms(S)
+    if shape[0] != shape[1]:
+        with pytest.raises(ValueError) as info:
+            EigenFactorization(S, np.arange(shape[0]))
+        assert str(info.value) == f"S must be square, got shape {shape}"
+        return
+    fac = EigenFactorization(S, np.arange(shape[0]))
+    assert (fac.norm1, fac.norm_inf) == (float(np.abs(S).sum(axis=0).max()),
+                                         float(np.abs(S).sum(axis=1).max()))
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_norms_of_an_eig_S_are_those_of_its_row_major_copy(n):
+    """eig returns S column-major; the factorization holds it row-major and
+    reads the norms from that copy, with its whole sums' bits (numpy sums
+    the column-major |S| in another order, which can move the last bits)."""
+    rng = np.random.default_rng(n)
+    w, S = scipy.linalg.eig(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert S.flags.f_contiguous and not S.flags.c_contiguous
+    fac = EigenFactorization(S, w)
+    C = np.ascontiguousarray(S)
+    assert (fac.norm1, fac.norm_inf) == (float(np.abs(C).sum(axis=0).max()),
+                                         float(np.abs(C).sum(axis=1).max()))
+
+
+def test_eigen_factorization_peaks_at_its_LU_buffer():
+    """|S| (8 n^2 bytes) is freed before the LU buffer (16 n^2) is made, so
+    building the factorization at n = 512 peaks at the buffer and a few
+    vectors: 39 KB above it measured, 128 KB allowed."""
+    rng = np.random.default_rng(14)
+    n = 512
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        fac = EigenFactorization(S, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fac.usable
+    assert 16 * n * n <= peak <= 16 * n * n + 2 ** 17
 
 
 def test_adjoint_solve_makes_no_n_by_n_temporary():
