@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .geometry import convex_hull, hull_boundary_samples
-from .interp import CONFLUENCE_TOL, NodeList
+from .interp import NodeList, denominator_at
 from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
 from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
@@ -116,8 +116,8 @@ class BoundQuery:
     ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) = e^(t.) w; the
     grid is evaluated in factored form from its Taylor coefficients (see
     ``_tables``), with no jet call per point.  The evaluation always runs
-    through the factorization; the denominator is checked against the
-    spectrum.
+    through the factorization; the denominator must not vanish on the
+    spectrum or at a node (interp.denominator_at).
     """
 
     def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
@@ -132,16 +132,10 @@ class BoundQuery:
         self.vf_derivative = VExpDerivative(v, t, self.N)
         self.omega = nodes.omega()
 
-        ev = self.fac.eigenvalues
-        v_at_ev = v(ev)
-        scale = np.abs(ev).max(initial=1.0)
-        floor = CONFLUENCE_TOL * abs(v.scale) * scale ** max(v.degree, 1)
-        if np.any(np.abs(v_at_ev) <= floor) or not np.all(np.isfinite(v_at_ev)):
-            raise ValueError("pole meets spectrum: denominator vanishes on an eigenvalue")
-        v_at_nodes = v(nodes.reps)
-        if np.any(v_at_nodes == 0):
-            raise ValueError("denominator vanishes at an interpolation node")
-        self.weights = self.omega(ev) / v_at_ev
+        v_at_ev = denominator_at(v, self.fac.eigenvalues,
+                                 "pole meets spectrum: denominator vanishes on an eigenvalue")
+        denominator_at(v, nodes.reps, "denominator vanishes at an interpolation node")
+        self.weights = self.omega(self.fac.eigenvalues) / v_at_ev
 
         _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)
@@ -244,7 +238,7 @@ def bound_bilinear(q: BoundQuery, b, d, *, c=None) -> BoundResult:
     time; c as in bound_vector."""
     b = as_vector(b)
     d = as_vector(d)
-    u = d.conj() @ q.fac.S
+    u = q.fac.times(d, left=True)
     folded = q._fold(u * (q.fac.solve(b) if c is None else c))
     values = np.empty((q.s_grid.size, q.mu_points.size))
     for rows in q._blocks():

@@ -230,7 +230,7 @@ def _run_trial_pinned(config: ExperimentConfig, poles: np.ndarray, rng):
     model = reduce(fac, b, V, spec=spec)
     fac.drop_lu()
 
-    exact = fac.S @ (np.exp(config.t * nu) * c)
+    exact = fac.times(np.exp(config.t * nu) * c)
     approx = impulse_reduced(model, config.t, kind="vector")
     e0 = float(np.linalg.norm(exact - approx))
 

@@ -20,6 +20,16 @@ from .linalg import as_vector
 CONFLUENCE_TOL = 1e-12
 
 
+def denominator_at(v: FactoredPoly, z, message: str) -> np.ndarray:
+    """v at the points z, refused with ValueError(message) where |v| is not
+    finite or is at most CONFLUENCE_TOL |v.scale| max(1, max |z|)^max(deg v, 1)."""
+    vals = v(z)
+    floor = CONFLUENCE_TOL * abs(v.scale) * np.abs(z).max(initial=1.0) ** max(v.degree, 1)
+    if np.any(np.abs(vals) <= floor) or not np.all(np.isfinite(vals)):
+        raise ValueError(message)
+    return vals
+
+
 class NodeList:
     """Interpolation nodes with multiplicities encoded by repetition.
 
@@ -131,10 +141,7 @@ class RationalInterpolant:
 
     def __init__(self, numerator: NewtonForm, denominator: FactoredPoly,
                  nodes: NodeList):
-        vals = np.abs(denominator(nodes.reps))
-        scale = max(np.abs(nodes.reps).max(), 1.0)
-        if np.any(vals <= CONFLUENCE_TOL * scale ** max(denominator.degree, 1)):
-            raise ValueError("denominator vanishes at node")
+        denominator_at(denominator, nodes.reps, "denominator vanishes at node")
         if numerator.degree > len(nodes) - 1:
             raise ValueError("numerator degree exceeds N - 1")
         self.numerator = numerator

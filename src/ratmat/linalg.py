@@ -234,13 +234,13 @@ class EigenFactorization:
         return bool(self.cond_estimate <= UNUSABLE_COND)
 
     def times(self, X, left: bool = False) -> np.ndarray:
-        """S X, or X^H S when ``left``, for a block of columns X, by scipy's
-        BLAS like S's LU: numpy's calls for S @ X and X.conj().T @ S, with the
-        same bits ((S X)^T = X^T S^T and (X^H S)^T = S^T conj(X) column-major,
-        S^T being the row-major S).  Nothing is copied when X is column-major
-        (row-major when ``left``); the result is row-major.
-        """
-        if X.shape[1] == 1:  # numpy takes GEMV here, with other bits than GEMM
+        """S X, or X^H S when ``left``: the package's one product with S.  A
+        vector or one column is numpy's GEMV; a block goes through scipy's BLAS
+        like S's LU, with the bits of numpy's S @ X and X.conj().T @ S ((S X)^T
+        = X^T S^T and (X^H S)^T = S^T conj(X) column-major, S^T being the
+        row-major S), copying nothing when X is column-major (row-major when
+        ``left``).  The result is row-major."""
+        if X.ndim == 1 or X.shape[1] == 1:  # GEMV, with other bits than GEMM
             return X.conj().T @ self.S if left else self.S @ X
         if left:
             return blas.zgemm(1.0, self.S.T, X.conj().T, trans_b=1).T
@@ -267,11 +267,9 @@ class EigenFactorization:
         X, _ = lapack.zgetrs(*self.lu, Y.reshape(Y.shape[0], -1),
                              trans=2 if adjoint else 0)
         X = X.reshape(Y.shape)
-        if adjoint:  # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
-            MX = (self.times(X, left=True) if X.ndim == 2 else X.conj() @ self.S).conj().T
-            norm = self.norm_inf
-        else:  # a block goes through times, a vector stays a numpy product
-            MX, norm = self.times(X) if X.ndim == 2 else self.S @ X, self.norm1
+        # S^H X as (X^H S)^H; ||S^H||_1 is S's largest row sum
+        MX, norm = ((self.times(X, left=True).conj().T, self.norm_inf) if adjoint
+                    else (self.times(X), self.norm1))
         resid, scale = _norm1(MX - Y), norm * _norm1(X)
         if not resid <= BACKWARD_TOL * scale:
             err = resid / scale if scale else np.inf

@@ -181,7 +181,7 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=Non
     """
     nu = fac.eigenvalues.conj() if dual else fac.eigenvalues
     if c is None:
-        c = (x0.conj() @ fac.S).conj() if dual else fac.solve(x0)
+        c = fac.times(x0, left=True).conj() if dual else fac.solve(x0)
     cols = []
     y = c
     for _ in range(1, kappa0):
@@ -276,7 +276,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
 def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
     """Reduced impulse response: d^H V e^(Ahat t) bhat or V e^(Ahat t) bhat."""
     fac = factorize(model.reduced_fac)
-    y = fac.S @ (np.exp(t * fac.eigenvalues) * fac.solve(model.bhat))
+    y = fac.times(np.exp(t * fac.eigenvalues) * fac.solve(model.bhat))
     if kind == "vector":
         return model.V @ y
     if kind == "scalar":

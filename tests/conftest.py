@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -32,9 +33,10 @@ def acceptance_report():
 @pytest.fixture
 def lu_events(monkeypatch):
     """Given an order n, a list that records in call order the solves
-    ("_solve"), block products ("times") and LU drop ("drop_lu") of every
-    order-n EigenFactorization; a block solve's residual check is the
-    product after it."""
+    ("_solve"), the products with S and the LU drop ("drop_lu") of every
+    order-n EigenFactorization.  A product is "times(k)" for a block of k
+    columns and "times(vector)" for a vector, with ", left" for X^H S;
+    every solve's residual check is the product after it."""
     from ratmat.linalg import EigenFactorization
 
     def record(n):
@@ -47,9 +49,17 @@ def lu_events(monkeypatch):
                 return real(self, *args, **kwargs)
             return method
 
-        for name in ("_solve", "times", "drop_lu"):
+        def times(self, X, left=False):
+            if self.order == n:
+                width = "vector" if np.ndim(X) == 1 else np.shape(X)[1]
+                events.append(f"times({width}{', left' if left else ''})")
+            return real_times(self, X, left)
+
+        real_times = EigenFactorization.times
+        for name in ("_solve", "drop_lu"):
             monkeypatch.setattr(EigenFactorization, name,
                                 recording(name, getattr(EigenFactorization, name)))
+        monkeypatch.setattr(EigenFactorization, "times", times)
         return events
 
     return record

@@ -253,6 +253,16 @@ def test_bound_query_pole_near_spectrum_is_relative():
     assert q.weights.shape == (2,)
 
 
+def test_bound_query_refuses_a_pole_near_a_node():
+    """A node 1e-14 from the pole 1.5 is a zero of v by the same rule as an
+    eigenvalue there, not only a node on the pole itself."""
+    A = np.diag([-1.0, -2.0])
+    v = FactoredPoly([1.5], [1], 1.0)
+    with pytest.raises(ValueError, match="denominator vanishes at an interpolation node"):
+        BoundQuery(A, NodeList([0.0, 1.5 + 1e-14]), v)
+    assert BoundQuery(A, NodeList([0.0, 1.5 + 1e-11]), v).weights.shape == (2,)
+
+
 def test_bound_vector_exp_route_matches_generic_jet():
     """e1 through the factored exp jet equals e1 through the Leibniz rule.
 
@@ -563,10 +573,12 @@ def test_factored_tables_match_pointwise_jet(case):
     assert np.all(err <= 1e-13 * np.abs(H).max(axis=(1, 2)))
 
 
-def test_bound_grid_is_factored(monkeypatch):
+def test_bound_grid_is_factored(monkeypatch, lu_events):
     """No jet call per grid point, and one product with S per block of s
     samples: at n = 128 the default grid is one block of n_s (deg v + 1)
-    columns, and a GRID_BLOCK of four samples' tables splits it 4 + 4 + 3."""
+    columns, and a GRID_BLOCK of four samples' tables splits it 4 + 4 + 3.
+    The other products with S are the check of S^-1 b and, for the bilinear
+    bound, u = d^H S: vectors, all through EigenFactorization.times."""
     fac, b, d, nodes, v, _ = _factored_case("xp-run-n128")
 
     def pointwise(self, z):
@@ -574,21 +586,17 @@ def test_bound_grid_is_factored(monkeypatch):
 
     monkeypatch.setattr(VExpDerivative, "__call__", pointwise)
     q = BoundQuery(fac, nodes, v)
-    widths = []
-    times = EigenFactorization.times
-
-    def recording(self, X):
-        widths.append(np.shape(X)[1])
-        return times(self, X)
-
-    monkeypatch.setattr(EigenFactorization, "times", recording)
+    events = lu_events(fac.order)
     bound_vector(q, b)
     bound_bilinear(q, b, d)
-    assert widths == [11 * (v.degree + 1)]
-    monkeypatch.setattr(bounds, "GRID_BLOCK", 4 * (v.degree + 1) * (fac.order + q.mu_points.size))
-    widths.clear()
+    K = v.degree + 1
+    assert events == ["_solve", "times(vector)", f"times({11 * K})",
+                      "times(vector, left)", "_solve", "times(vector)"]
+    monkeypatch.setattr(bounds, "GRID_BLOCK", 4 * K * (fac.order + q.mu_points.size))
+    events.clear()
     bound_vector(q, b)
-    assert widths == [4 * (v.degree + 1), 4 * (v.degree + 1), 3 * (v.degree + 1)]
+    assert events == ["_solve", "times(vector)", f"times({4 * K})", f"times({4 * K})",
+                      f"times({3 * K})"]
     C, X = q._tables()
     assert C.shape == (11, q.mu_points.size, v.degree + 1)
     assert X.shape == (11, v.degree + 1, fac.order)
@@ -596,7 +604,7 @@ def test_bound_grid_is_factored(monkeypatch):
 
 
 @pytest.mark.parametrize("n, many", [(281, 11), (1024, 46)])
-def test_default_grid_is_one_product_with_S(monkeypatch, n, many):
+def test_default_grid_is_one_product_with_S(lu_events, n, many):
     """xp run's default 11 x 50 grid (deg v = 8) is one product with S of 99
     columns at every order once the LU is freed, as a trial and xp bound
     free it.  GRID_BLOCK alone holds 10 samples at n = 281 and 3 at
@@ -611,21 +619,15 @@ def test_default_grid_is_one_product_with_S(monkeypatch, n, many):
     assert bounds.GRID_BLOCK // (K * (n + n_mu)) == held
     assert bounds.block_rows(201, n, n_mu, K, False) == held
     assert bounds.block_rows(201, n, n_mu, K, True) == many
-    widths = []
-    times = EigenFactorization.times
-
-    def recording(self, X):
-        widths.append(np.shape(X)[1])
-        return times(self, X)
-
-    monkeypatch.setattr(EigenFactorization, "times", recording)
+    events = lu_events(n)
     c = fac.solve(b)
     held_result = bound_vector(q, b)
-    assert widths == [K * min(held, 11 - j) for j in range(0, 11, held)]
-    widths.clear()
+    blocks = [f"times({K * min(held, 11 - j)})" for j in range(0, 11, held)]
+    assert events == ["_solve", "times(vector)"] * 2 + blocks
+    events.clear()
     fac.drop_lu()
     freed_result = bound_vector(q, b, c=c)
-    assert widths == [11 * K]
+    assert events == ["drop_lu", f"times({11 * K})"]
     assert freed_result.value == pytest.approx(held_result.value, rel=1e-13)
 
 

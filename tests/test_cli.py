@@ -212,16 +212,17 @@ def test_bound_factorizes_once_without_lu(tmp_path, capsys, monkeypatch):
 
 def test_bound_drops_the_lu_after_its_last_solve(tmp_path, capsys, lu_events):
     """xp bound frees the LU of S after reduce's solve, the last one: S^-1 b,
-    the primal block S C, S^-H on the dual block, S^-1 V (each block solve
-    with its residual product) and V^H S run before, and the bilinear grid,
-    which takes no block product, after."""
+    the primal block S C, the dual's S^H d, S^-H on the dual block, S^-1 V
+    (each solve with its residual product) and V^H S run before, and the
+    bilinear grid's u = d^H S, its one product with S, after."""
     A, b, d = _rectangle_system(np.random.default_rng(32), 32)
     args = _bound_args(tmp_path, A, b, _fitted_spec(chi=1), d=d)
     events = lu_events(32)
     assert main(args) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["e1"] > 0.0
-    assert events == ["_solve", "times", "_solve", "times", "_solve", "times", "times",
-                      "drop_lu"]
+    assert events == ["_solve", "times(vector)", "times(8)", "times(vector, left)",
+                      "_solve", "times(8, left)", "_solve", "times(18)", "times(18, left)",
+                      "drop_lu", "times(vector, left)"]
 
 
 def test_bound_forms_no_inverse(tmp_path, capsys, monkeypatch):

@@ -257,34 +257,31 @@ def test_run_trial_solves_for_b_once(monkeypatch):
     assert 0.0 < rec.e0 <= rec.e1 * 1.05
 
 
-def test_run_trial_block_products_go_through_times(monkeypatch):
-    """Every block product with S of a trial is EigenFactorization.times:
-    the Krylov block, the check of S^-1 V, V^H S and the grid's 99 columns."""
+def test_run_trial_block_products_go_through_times(lu_events):
+    """Every product of a trial with S is EigenFactorization.times, six in
+    all: the check of S^-1 b, the Krylov block, the check of S^-1 V, V^H S,
+    e0's S (e^(t nu) c) and the grid's 99 columns."""
     n = 32
     config = ExperimentConfig(n=n, trials=1)
     poles = derive_poles(config)
-    seen = []
-    times = EigenFactorization.times
-
-    def recording(self, X, left=False):
-        if self.order == n:
-            seen.append((np.shape(X)[1], left))
-        return times(self, X, left)
-
-    monkeypatch.setattr(EigenFactorization, "times", recording)
+    events = lu_events(n)
     run_trial(config, poles, np.random.default_rng([0, 3]))
-    assert seen == [(8, False), (9, False), (9, True), (99, False)]
+    assert [e for e in events if e.startswith("times")] == [
+        "times(vector)", "times(8)", "times(9)", "times(9, left)", "times(vector)",
+        "times(99)"]
 
 
 def test_run_trial_drops_the_lu_after_its_last_solve(lu_events):
-    """A trial frees the LU of S right after reduce: S^-1 b, the Krylov
-    block S C, S^-1 V with its residual product and V^H S run before, e0 and
-    the grid (one product of 99 columns) after, on S alone."""
+    """A trial frees the LU of S right after reduce: S^-1 b with its
+    residual product, the Krylov block S C, S^-1 V with its residual product
+    and V^H S run before, e0 and the grid (one product of 99 columns) after,
+    on S alone."""
     n = 32
     config = ExperimentConfig(n=n, trials=1)
     events = lu_events(n)
     run_trial(config, derive_poles(config), np.random.default_rng([0, 3]))
-    assert events == ["_solve", "times", "_solve", "times", "times", "drop_lu", "times"]
+    assert events == ["_solve", "times(vector)", "times(8)", "_solve", "times(9)",
+                      "times(9, left)", "drop_lu", "times(vector)", "times(99)"]
 
 
 def test_run_trial_gives_up_after_max_redraws(monkeypatch):

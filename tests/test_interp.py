@@ -275,6 +275,25 @@ def test_fixed_denominator_pole_at_node():
         rational_interpolate_fixed_denominator(ExpJet(1.0), NodeList([0.0, 1.0]), v)
 
 
+def test_fixed_denominator_vanishing_is_relative_to_its_scale():
+    """A tiny scale alone is not a zero of v: v = 1e-20 (z - 1.5) gives the
+    interpolant that v = z - 1.5 gives."""
+    nodes = NodeList([0.0, 0.5])
+    z = np.array([0.25, 1.0, -0.5 + 0.5j])
+    ref = rational_interpolate_fixed_denominator(ExpJet(1.0), nodes,
+                                                 FactoredPoly([1.5], [1], 1.0))
+    tiny = rational_interpolate_fixed_denominator(ExpJet(1.0), nodes,
+                                                  FactoredPoly([1.5], [1], 1e-20))
+    assert np.abs(tiny(z) - ref(z)).max() <= 1e-15 * np.abs(ref(z)).max()
+
+
+def test_rational_interpolant_refuses_a_non_finite_denominator():
+    """|v| = 1e309 at the node 10 overflows to inf; its floor, 1e297, does not."""
+    nodes = NodeList([10.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="vanishes at node"):
+        RationalInterpolant(NewtonForm(nodes, [1.0]), FactoredPoly([0.0], [1], 1e308), nodes)
+
+
 def test_rational_interpolant_degree_check():
     num = NewtonForm(NodeList([0.0, 1.0, 2.0]), [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="degree"):

@@ -1,9 +1,11 @@
 import contextlib
 import logging
 import os
+import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,9 +394,22 @@ def test_times_is_the_product_with_S():
     assert Z.shape == (m, n) and Z.flags.c_contiguous
     ref = V.conj().T @ S
     assert np.abs(Z - ref).max() <= 1e-14 * np.abs(ref).max()
-    # one column is numpy's GEMV, whose bits the block route would not keep
+    # one column or a vector is numpy's GEMV, whose bits the block route
+    # would not keep
     assert np.array_equal(fac.times(X[:, :1]), S @ X[:, :1])
     assert np.array_equal(fac.times(V[:, :1], left=True), V[:, :1].conj().T @ S)
+    x = X[:, 0].copy()
+    assert fac.times(x).shape == (n,) and np.array_equal(fac.times(x), S @ x)
+    assert np.array_equal(fac.times(x, left=True), x.conj() @ S)
+
+
+def test_only_linalg_reads_S():
+    """EigenFactorization.times is the package's one product with S: no
+    module but linalg reads an S attribute."""
+    src = Path(linalg.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if re.search(r"\.S\b", p.read_text())]
+    assert readers == ["linalg.py"]
 
 
 def test_eigen_factorization_holds_S_without_copy():

@@ -268,10 +268,11 @@ def test_moment_match_one_sided():
     assert moment_match_check(model, A, b) <= 1e-8
 
 
-def test_moment_match_builds_one_chain_per_side(monkeypatch):
+def test_moment_match_builds_one_chain_per_side(lu_events):
     """The 24 probes of kappa0 = 8 and two poles of multiplicity 8 cost one
-    solve with S and one product of S with the 23 vectors other than b; each
-    probe used to rebuild its chain (24 solves, 100 columns)."""
+    solve with S, its residual product, and one product of S with the 23
+    vectors other than b; each probe used to rebuild its chain (24 solves,
+    100 columns)."""
     rng = np.random.default_rng(13)
     n = 200
     nu = rng.uniform(-1.0, 0.0, n) + 1j * rng.uniform(-np.pi, np.pi, n)
@@ -283,24 +284,9 @@ def test_moment_match_builds_one_chain_per_side(monkeypatch):
     assert len(kept) == 24
     model = reduce(fac, b, V, spec=spec)
 
-    solves, columns = [], []
-    solve, times = EigenFactorization.solve, EigenFactorization.times
-
-    def counted_solve(self, Y):
-        if self is fac:
-            solves.append(np.shape(Y))
-        return solve(self, Y)
-
-    def counted_times(self, X, *args, **kwargs):
-        if self is fac:
-            columns.append(X.shape[1])
-        return times(self, X, *args, **kwargs)
-
-    monkeypatch.setattr(EigenFactorization, "solve", counted_solve)
-    monkeypatch.setattr(EigenFactorization, "times", counted_times)
+    events = lu_events(n)
     assert moment_match_check(model, fac, b) <= 1e-8
-    assert solves == [(n,)]
-    assert columns == [23]
+    assert events == ["_solve", "times(vector)", "times(23)"]
 
 
 def test_moment_match_two_sided_both_kinds():
