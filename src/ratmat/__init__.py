@@ -37,7 +37,6 @@ from .jets import (
 from .linalg import (
     EigenFactorization,
     eig_small,
-    factorize,
     matrix_from_json,
     mgs_orthonormalize,
     poly_roots,

@@ -27,7 +27,7 @@ from .interp import NodeList, denominator_at
 from .jets import FactoredPoly, VExpDerivative
 # eig_small is not called here; perfbench's tracer wraps it by this name
 from .linalg import (EigenFactorization, as_vector, eig_small,  # noqa: F401
-                     factorize, real_from_json, require_memory)
+                     real_from_json, require_memory)
 
 # Table entries per block of s samples in the e1 grid (512 KB of C and X at
 # 16 bytes each), unless the LU of S was freed before the grid and its room
@@ -110,32 +110,29 @@ def mu_grid(points, count: int):
 class BoundQuery:
     """Everything needed to evaluate the error bound for one system.
 
-    ``A`` is a matrix or an EigenFactorization (see linalg.factorize), whose
-    LU applies S^-1 to b unless the caller passes c = S^-1 b, as it must
-    once the LU is dropped.  ``v`` is the fixed denominator and f = exp_t, so
+    ``fac`` is A's EigenFactorization, whose LU applies S^-1 to b unless the
+    caller passes c = S^-1 b, as it must once the LU is dropped or S is not
+    usable.  ``v`` is the fixed denominator and f = exp_t, so
     ``vf_derivative`` is the closed-form jet (v e^(t.))^(N) = e^(t.) w; the
     grid is evaluated in factored form from its Taylor coefficients (see
-    ``_tables``), with no jet call per point.  The evaluation always runs
-    through the factorization; the denominator must not vanish on the
-    spectrum or at a node (interp.denominator_at).
+    ``_tables``), with no jet call per point.  v must not vanish on the
+    spectrum or at a node (interp.denominator_at, asked before the jet).
     """
 
-    def __init__(self, A, nodes: NodeList, v: FactoredPoly, t: float = 1.0,
-                 s_samples: int = 11, mu_samples: int = 50):
-        order = A.order if isinstance(A, EigenFactorization) else np.shape(A)[0]
-        self.grid_bytes = check_query(t, s_samples, mu_samples, order, v.degree + 1,
+    def __init__(self, fac: EigenFactorization, nodes: NodeList, v: FactoredPoly,
+                 t: float = 1.0, s_samples: int = 11, mu_samples: int = 50):
+        self.grid_bytes = check_query(t, s_samples, mu_samples, fac.order, v.degree + 1,
                                       nodes.reps.size)
-        self.fac = factorize(A)
+        v_at_ev = denominator_at(v, fac.eigenvalues,
+                                 "pole meets spectrum: denominator vanishes on an eigenvalue")
+        denominator_at(v, nodes.reps, "denominator vanishes at an interpolation node")
+        self.fac = fac
         self.nodes = nodes
         self.v = v
         self.N = len(nodes)
         self.vf_derivative = VExpDerivative(v, t, self.N)
         self.omega = nodes.omega()
-
-        v_at_ev = denominator_at(v, self.fac.eigenvalues,
-                                 "pole meets spectrum: denominator vanishes on an eigenvalue")
-        denominator_at(v, nodes.reps, "denominator vanishes at an interpolation node")
-        self.weights = self.omega(self.fac.eigenvalues) / v_at_ev
+        self.weights = self.omega(fac.eigenvalues) / v_at_ev
 
         _, self.mu_points = mu_grid(nodes.nodes, mu_samples)
         self.s_grid = np.linspace(0.0, 1.0, s_samples)

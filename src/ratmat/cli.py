@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import BoundResult, check_query
 from .experiment import ExperimentConfig, derive_poles, run_experiment
-from .linalg import (as_square_matrix, blas_pin, factorize, matrix_from_json,
+from .linalg import (as_square_matrix, blas_pin, eig_small, matrix_from_json,
                      vector_from_json)
 from .rom import FinitePole, PoleSpec, arnoldi_error_bound, build_krylov_basis, reduce
 
@@ -77,8 +77,8 @@ def bound_cmd(args) -> int:
     for name, x in (("b", b), ("d", d)):
         if x is not None and x.size != A.shape[0]:
             raise ValueError(f"{name} has length {x.size}, A has order {A.shape[0]}")
-    # before A is factorized, for every b; the spec's vector count, at most
-    # the order once check_basis passes, bounds the reduced order and the nodes
+    # before A's eig, for every b; the spec's vector count, at most the
+    # order once check_basis passes, bounds the reduced order and the nodes
     spec.check_basis(A.shape[0], d)
     check_query(args.t, args.s_samples, args.mu_samples, A.shape[0],
                 spec.denominator().degree + 1, spec.total())
@@ -89,10 +89,10 @@ def bound_cmd(args) -> int:
         return 0
 
     # the BLAS threads follow the order as a trial's do, so the bits ignore
-    # the cores; A is factorized and c = S^-1 b solved once for all three
-    # steps, and the LU of S is freed after reduce's solve, the last one
+    # the cores; A's one eig serves all three steps, the solve c = S^-1 b
+    # refuses an unusable S, and the LU is freed after reduce's, the last one
     with blas_pin(A.shape[0]):
-        fac = factorize(A)
+        fac = eig_small(A)
         c = fac.solve(b)
         V, _ = build_krylov_basis(fac, b, spec, d=d, c=c)
         model = reduce(fac, b, V, d=d, spec=spec)

@@ -21,11 +21,15 @@ CONFLUENCE_TOL = 1e-12
 
 
 def denominator_at(v: FactoredPoly, z, message: str) -> np.ndarray:
-    """v at the points z, refused with ValueError(message) where |v| is not
-    finite or is at most CONFLUENCE_TOL |v.scale| max(1, max |z|)^max(deg v, 1)."""
-    vals = v(z)
+    """v at the points z, refused with ValueError(message) where |v| is at
+    most CONFLUENCE_TOL |v.scale| max(1, max |z|)^max(deg v, 1), and as an
+    overflow where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        vals = v(z)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("denominator overflows: |v| is beyond the float range at a point")
     floor = CONFLUENCE_TOL * abs(v.scale) * np.abs(z).max(initial=1.0) ** max(v.degree, 1)
-    if np.any(np.abs(vals) <= floor) or not np.all(np.isfinite(vals)):
+    if np.any(np.abs(vals) <= floor):
         raise ValueError(message)
     return vals
 

@@ -188,7 +188,8 @@ class EigenFactorization:
     ``cond_estimate`` is LAPACK's one-norm condition estimate of S (zgecon;
     N. J. Higham, ACM TOMS 14, 1988), infinite when S is singular.  A
     factorization is not ``usable`` when S is too ill-conditioned to solve
-    with reliably; the eigenvalue list is still valid in that case.
+    with reliably: its eigenvalues and products with S stay valid, a solve
+    refuses it.
 
     ``drop_lu`` frees the LU, 16 n^2 bytes like S itself, once the last
     solve is done.  Products with S, the norms, the estimate and the
@@ -259,8 +260,14 @@ class EigenFactorization:
         return self._solve(Y, adjoint=True)
 
     def _solve(self, Y, adjoint: bool) -> np.ndarray:
-        """M^-1 Y for M = S or S^H, refused when its normwise backward error
-        ||M X - Y||_1 / (||M||_1 ||X||_1) exceeds BACKWARD_TOL."""
+        """M^-1 Y for M = S or S^H, refused when S is not usable or when its
+        normwise backward error ||M X - Y||_1 / (||M||_1 ||X||_1) exceeds
+        BACKWARD_TOL."""
+        if not self.usable:
+            raise ValueError(
+                "unusable eigenbasis: the eigenvector matrix S is singular or too ill-conditioned "
+                f"to solve with (condition estimate {self.cond_estimate:.1e}; the matrix is "
+                "defective or nearly so)")
         if self.lu is None:
             raise ValueError("solve with S after drop_lu: its LU factors are gone")
         Y = np.asarray(Y, dtype=np.complex128)
@@ -316,10 +323,10 @@ def mgs_orthonormalize(cols):
 def eig_small(A) -> EigenFactorization:
     """Dense complex eigen decomposition of a square matrix of any order.
 
+    The one way a matrix becomes the EigenFactorization the stages take;
     LAPACK's zgeev comes from scipy's build, which blas_pin leaves threaded
-    from PIN_BELOW_N up.  The eigenpairs are checked by their residual; the
-    result is flagged unusable when S is singular or too ill-conditioned
-    (see EigenFactorization).
+    from PIN_BELOW_N up.  The eigenpairs are checked by their residual; an S
+    too ill-conditioned to solve with is flagged (see EigenFactorization).
     """
     A = as_square_matrix(A)
     n = A.shape[0]
@@ -334,23 +341,6 @@ def eig_small(A) -> EigenFactorization:
     if resid > 1e-8 * max(scale, 1e-300):
         raise ValueError(f"eigen residual {resid:.2e} too large for scale {scale:.2e}")
     return EigenFactorization(S, w)
-
-
-def factorize(A) -> EigenFactorization:
-    """A as its eigen-factorization, the one form the package uses.
-
-    An EigenFactorization is returned as it is, a matrix goes through
-    eig_small.  Either way S must be usable: the shifted solves, the
-    projection and the bound all apply S^-1 through its LU.
-    """
-    fac = A if isinstance(A, EigenFactorization) else eig_small(A)
-    if not fac.usable:
-        raise ValueError(
-            "unusable eigenbasis: the eigenvector matrix S is singular or too "
-            f"ill-conditioned to solve with (condition estimate "
-            f"{fac.cond_estimate:.1e}; the matrix is defective or nearly so)"
-        )
-    return fac
 
 
 def poly_roots(coeffs):

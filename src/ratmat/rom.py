@@ -5,10 +5,10 @@ The search space is spanned by powers A^j b (j < kappa0) and resolvents
 the corresponding vectors built from A^H and d.  The reduced model is the
 orthogonal projection (Ahat, bhat, dhat) = (V^H A V, V^H b, V^H d).
 
-Every entry point takes A as a matrix or as its EigenFactorization
-A = S diag(nu) S^-1 and works on the factorization (linalg.factorize): a
-shifted solve is a division by (lambda - nu) in eigen-coordinates, S^-1 is
-applied by solves with the LU of S, and neither A nor S^-1 is formed.
+Every entry point takes A as its EigenFactorization A = S diag(nu) S^-1
+(linalg.eig_small makes one of a matrix): a shifted solve is a division by
+(lambda - nu) in eigen-coordinates, S^-1 is applied by solves with the LU of
+S, which refuse an unusable S, and neither A nor S^-1 is formed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .linalg import (
     as_vector,
     check_json_object,
     eig_small,
-    factorize,
     integer_from_json,
     mgs_orthonormalize,
 )
@@ -204,18 +203,16 @@ def _krylov_vectors(fac: EigenFactorization, x0, kappa0, pole_mults, dual, c=Non
     return vectors
 
 
-def build_krylov_basis(A, b, spec: PoleSpec, d=None, *, c=None):
+def build_krylov_basis(fac: EigenFactorization, b, spec: PoleSpec, d=None, *, c=None):
     """Orthonormal basis V of the rational Krylov space, with a kept report.
 
     A spec with a chi is two-sided and needs d for its dual vectors (built
-    from A^H and d); d is unused otherwise.  A is a matrix or an
-    EigenFactorization; each vector costs O(n^2) in eigen-coordinates, after
-    one solve c = S^-1 b with the LU of S (a caller that holds c passes it).
-    A spec of more vectors than the order of A is refused before any is
-    built.  Returns (V, kept): kept lists which generated vectors survived
-    the Gram-Schmidt filter, in generation order.
+    from A^H and d); d is unused otherwise.  Each vector costs O(n^2) in the
+    eigen-coordinates of fac, after one solve c = S^-1 b with the LU of S (a
+    caller that holds c passes it).  A spec of more vectors than the order
+    of A is refused before any is built.  Returns (V, kept): kept lists which
+    generated vectors survived the Gram-Schmidt filter, in generation order.
     """
-    fac = factorize(A)
     b = as_vector(b)
     spec.check_basis(fac.order, d)
     raw = _krylov_vectors(fac, b, spec.kappa0,
@@ -252,14 +249,13 @@ class ReducedModel:
         return self.reduced_fac.eigenvalues
 
 
-def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
+def reduce(fac: EigenFactorization, b, V, d=None,
+           spec: PoleSpec | None = None) -> ReducedModel:
     """Project the system onto the span of the orthonormal columns of V.
 
-    A is a matrix or an EigenFactorization; either way
     Ahat = ((V^H S) diag(nu)) (S^-1 V) without forming A, with S^-1 V one
     block solve with the LU of S, taken first, and V^H S one block product.
     """
-    fac = factorize(A)
     b = as_vector(b)
     V = np.asarray(V, dtype=np.complex128)
     nh = V.shape[1]
@@ -275,7 +271,7 @@ def reduce(A, b, V, d=None, spec: PoleSpec | None = None) -> ReducedModel:
 
 def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
     """Reduced impulse response: d^H V e^(Ahat t) bhat or V e^(Ahat t) bhat."""
-    fac = factorize(model.reduced_fac)
+    fac = model.reduced_fac
     y = fac.times(np.exp(t * fac.eigenvalues) * fac.solve(model.bhat))
     if kind == "vector":
         return model.V @ y
@@ -286,13 +282,13 @@ def impulse_reduced(model: ReducedModel, t: float, kind: str = "scalar"):
     raise ValueError("kind must be 'scalar' or 'vector'")
 
 
-def moment_match_check(model: ReducedModel, A, b, d=None) -> float:
+def moment_match_check(model: ReducedModel, fac: EigenFactorization, b, d=None) -> float:
     """Max relative mismatch of the moment-matching identities.
 
     Without d, checks r(A) b = V r(Ahat) bhat for every probe admissible in
     the one-sided sense (powers j < kappa0, resolvent orders j <= kappa_k);
     with d, checks d^H r(A) b = dhat^H r(Ahat) bhat with the combined
-    multiplicities kappa + chi.  A is a matrix or an EigenFactorization, as in
+    multiplicities kappa + chi.  fac is A's factorization, as in
     build_krylov_basis; the reduced side runs through model.reduced_fac.
     """
     if model.spec is None:
@@ -300,8 +296,6 @@ def moment_match_check(model: ReducedModel, A, b, d=None) -> float:
     two = d is not None
     if two and model.dhat is None:
         raise ValueError("bilinear check needs dhat: reduce the model with d")
-    fac = factorize(A)
-    reduced = factorize(model.reduced_fac)
     b = as_vector(b)
     spec = model.spec
     # the probes A^j b (j < kappa0) and (lam I - A)^-j b (j <= kappa) are the
@@ -312,7 +306,8 @@ def moment_match_check(model: ReducedModel, A, b, d=None) -> float:
              [(p.lam, p.kappa + (p.chi if two else 0)) for p in spec.poles], False)
     worst = 0.0
     for big, small in zip(_krylov_vectors(fac, b, *chain),
-                          _krylov_vectors(reduced, model.bhat, *chain), strict=True):
+                          _krylov_vectors(model.reduced_fac, model.bhat, *chain),
+                          strict=True):
         if two:
             lhs = complex(as_vector(d).conj() @ big)
             rhs = complex(model.dhat.conj() @ small)
@@ -325,17 +320,16 @@ def moment_match_check(model: ReducedModel, A, b, d=None) -> float:
     return worst
 
 
-def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
-                        s_samples: int = 11, mu_samples: int = 50, *,
-                        c=None) -> BoundResult:
+def arnoldi_error_bound(model: ReducedModel, fac: EigenFactorization, b, d=None,
+                        t: float = 1.0, s_samples: int = 11, mu_samples: int = 50,
+                        *, c=None) -> BoundResult:
     """Certified bound on the reduction error of the impulse response.
 
     Without d: bounds ||e^(At) b - V e^(Ahat t) bhat||_2.  With d, which a
     two-sided spec requires: bounds |d^H e^(At) b - dhat^H e^(Ahat t) bhat|.
     The nodes are the reduced spectrum, the denominator collects the finite
-    poles with their multiplicities (see PoleSpec.denominator).  A is a
-    matrix or an EigenFactorization (S^-1 applied through the LU of S); a
-    caller that already holds the factorization, or c = S^-1 b, passes it.
+    poles with their multiplicities (see PoleSpec.denominator).  c = S^-1 b
+    is solved with the LU of fac, A's factorization, unless the caller passes it.
     """
     if model.spec is None:
         raise ValueError("model carries no pole specification")
@@ -347,7 +341,7 @@ def arnoldi_error_bound(model: ReducedModel, A, b, d=None, t: float = 1.0,
             "requires the full declared multiplicities"
         )
     v = model.spec.denominator()
-    q = BoundQuery(A, model.reduced_nodes, v, t=t,
+    q = BoundQuery(fac, model.reduced_nodes, v, t=t,
                    s_samples=s_samples, mu_samples=mu_samples)
     if d is not None:
         return bound_bilinear(q, b, d, c=c)

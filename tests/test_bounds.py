@@ -23,7 +23,7 @@ from ratmat.bounds import BoundQuery, bound_bilinear, bound_vector
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList, rational_interpolate_fixed_denominator
 from ratmat.jets import ExpJet, FactoredPoly, VExpDerivative
-from ratmat.linalg import EigenFactorization
+from ratmat.linalg import EigenFactorization, eig_small
 from ratmat.rom import FinitePole, PoleSpec, build_krylov_basis, reduce
 
 
@@ -43,7 +43,7 @@ def test_core_matrix_vanishes_on_spectrum_nodes():
 
 def test_core_matrix_scalar_case():
     a, z1 = 0.7 - 0.2j, 0.3
-    q = BoundQuery(np.array([[a]]), NodeList([z1]), FactoredPoly((), (), 1.0))
+    q = BoundQuery(eig_small(np.array([[a]])), NodeList([z1]), FactoredPoly((), (), 1.0))
     s = 0.4
     core = bound_core_matrix(q, s, z1)
     expected = (a - z1) * np.exp((1 - s) * z1 + s * a)
@@ -74,7 +74,7 @@ def test_core_matrix_diagonal_factor_route():
 
 def test_bound_vector_scalar_closed_form():
     # 1x1 system: max over s of |(1-0) e^s| lands at s = 1
-    q = BoundQuery(np.array([[1.0]]), NodeList([0.0]), FactoredPoly((), (), 1.0))
+    q = BoundQuery(eig_small(np.array([[1.0]])), NodeList([0.0]), FactoredPoly((), (), 1.0))
     res = bound_vector(q, [1.0])
     assert abs(res.value - math.e) <= 1e-12
     assert res.argmax_s == 1.0
@@ -133,7 +133,7 @@ def test_bound_bilinear_orthogonal_output():
 
 
 def test_bound_bilinear_scalar_closed_form_and_spectrum_nodes():
-    q = BoundQuery(np.array([[1.0]]), NodeList([0.0]), FactoredPoly((), (), 1.0))
+    q = BoundQuery(eig_small(np.array([[1.0]])), NodeList([0.0]), FactoredPoly((), (), 1.0))
     assert abs(bound_bilinear(q, [1.0], [1.0]).value - math.e) <= 1e-12
     rng = np.random.default_rng(157)
     A, fac = _fac(rng, 4)
@@ -206,20 +206,17 @@ def test_numerical_range_box_empty_angles():
 
 
 def test_bound_query_validation():
-    A = np.diag([1.0, 2.0])
+    fac = eig_small(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="pole meets spectrum"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly([1.0], [1], 1.0))
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly([1.0], [1], 1.0))
     with pytest.raises(ValueError, match="interpolation node"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly([0.0], [1], 1.0))
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly([0.0], [1], 1.0))
     with pytest.raises(ValueError, match="^s_samples must be at least 2, got 1$"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), s_samples=1)
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly((), (), 1.0), s_samples=1)
     with pytest.raises(ValueError, match="^mu_samples must be at least 1, got 0$"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), mu_samples=0)
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly((), (), 1.0), mu_samples=0)
     with pytest.raises(ValueError, match="^t must be a finite number, got nan$"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly((), (), 1.0), t=math.nan)
-    bad = EigenFactorization(np.diag([1.0, 1e-13]), [1.0, 2.0])
-    with pytest.raises(ValueError, match="unusable"):
-        BoundQuery(bad, NodeList([0.0]), FactoredPoly((), (), 1.0))
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly((), (), 1.0), t=math.nan)
 
 
 @pytest.mark.parametrize("sizes, message", [
@@ -228,39 +225,49 @@ def test_bound_query_validation():
     ({"mu_samples": True}, "mu_samples must be an integer, got True"),
 ])
 def test_bound_query_refuses_a_grid_size_that_is_no_integer(monkeypatch, sizes, message):
-    """A float or bool grid size is named before A is factorized; 11.0 used
-    to reach np.linspace after factorize(A) and end in a numpy TypeError."""
+    """A float or bool grid size is named before any other check; 11.0 used
+    to reach np.linspace and end in a numpy TypeError."""
     def refuse(*args, **kwargs):
-        raise AssertionError("A was factorized before the grid sizes were checked")
+        raise AssertionError("v was evaluated before the grid sizes were checked")
 
-    monkeypatch.setattr("ratmat.bounds.factorize", refuse)
+    monkeypatch.setattr("ratmat.bounds.denominator_at", refuse)
     with pytest.raises(ValueError, match=f"^{message}$"):
-        BoundQuery(np.diag([1.0, 2.0]), NodeList([0.0]), FactoredPoly((), (), 1.0), **sizes)
+        BoundQuery(eig_small(np.diag([1.0, 2.0])), NodeList([0.0]), FactoredPoly((), (), 1.0),
+                   **sizes)
 
 
 def test_bound_query_takes_numpy_integer_grid_sizes():
-    q = BoundQuery(np.diag([-1.0, -2.0]), NodeList([0.0]), FactoredPoly((), (), 1.0),
-                   s_samples=np.int64(3), mu_samples=np.int32(2))
+    q = BoundQuery(eig_small(np.diag([-1.0, -2.0])), NodeList([0.0]),
+                   FactoredPoly((), (), 1.0), s_samples=np.int64(3), mu_samples=np.int32(2))
     assert q.s_grid.size == 3
 
 
 def test_bound_query_pole_near_spectrum_is_relative():
-    A = np.diag([1.0, 2.0])
+    fac = eig_small(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="pole meets spectrum"):
-        BoundQuery(A, NodeList([0.0]), FactoredPoly([1.0 + 1e-15], [1], 1.0))
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly([1.0 + 1e-15], [1], 1.0))
     # the threshold scales with v, so a tiny scale alone is not a pole hit
-    q = BoundQuery(A, NodeList([0.0]), FactoredPoly([1.5], [1], 1e-20))
+    q = BoundQuery(fac, NodeList([0.0]), FactoredPoly([1.5], [1], 1e-20))
     assert q.weights.shape == (2,)
 
 
 def test_bound_query_refuses_a_pole_near_a_node():
     """A node 1e-14 from the pole 1.5 is a zero of v by the same rule as an
     eigenvalue there, not only a node on the pole itself."""
-    A = np.diag([-1.0, -2.0])
+    fac = eig_small(np.diag([-1.0, -2.0]))
     v = FactoredPoly([1.5], [1], 1.0)
     with pytest.raises(ValueError, match="denominator vanishes at an interpolation node"):
-        BoundQuery(A, NodeList([0.0, 1.5 + 1e-14]), v)
-    assert BoundQuery(A, NodeList([0.0, 1.5 + 1e-11]), v).weights.shape == (2,)
+        BoundQuery(fac, NodeList([0.0, 1.5 + 1e-14]), v)
+    assert BoundQuery(fac, NodeList([0.0, 1.5 + 1e-11]), v).weights.shape == (2,)
+
+
+def test_bound_query_refuses_an_overflowing_denominator():
+    """v = (z - 1e200)^2 is beyond the float range on the spectrum {-1, -2}:
+    refused as an overflow before the jet's coefficients are formed, with no
+    RuntimeWarning; this read "pole meets spectrum", after numpy's warning."""
+    fac = eig_small(np.diag([-1.0, -2.0]))
+    with pytest.raises(ValueError, match=r"^denominator overflows: \|v\| is beyond the float"):
+        BoundQuery(fac, NodeList([0.0]), FactoredPoly([1e200], [2], 1.0))
 
 
 def test_bound_vector_exp_route_matches_generic_jet():
@@ -281,12 +288,11 @@ def test_bound_vector_exp_route_matches_generic_jet():
     S = (rng.uniform(-1.0, 1.0, (config.n, config.n))
          + 1j * rng.uniform(-1.0, 1.0, (config.n, config.n)))
     fac = EigenFactorization(S, nu)
-    A = (S * nu) @ np.linalg.inv(S)
     b = rng.standard_normal(config.n) + 1j * rng.standard_normal(config.n)
     b /= np.linalg.norm(b)
     spec = PoleSpec(1, tuple(FinitePole(complex(p)) for p in poles))
-    V, _ = build_krylov_basis(A, b, spec)
-    model = reduce(A, b, V, spec=spec)
+    V, _ = build_krylov_basis(fac, b, spec)
+    model = reduce(fac, b, V, spec=spec)
     v = spec.denominator()
     N = len(model.reduced_nodes)
     generic_jet = ProductJet(v, FunctionJet([np.exp] * (N + 1)))
@@ -652,7 +658,7 @@ def test_bound_overflow_is_refused():
 
 
 def test_bound_result_json_schema():
-    q = BoundQuery(np.array([[1.0]]), NodeList([0.0]), FactoredPoly((), (), 1.0))
+    q = BoundQuery(eig_small(np.array([[1.0]])), NodeList([0.0]), FactoredPoly((), (), 1.0))
     obj = bound_vector(q, [1.0]).to_json()
     assert set(obj) == {"e1", "argmax_s", "argmax_mu", "grid"}
     assert obj["grid"] == {"s": 11, "mu": 1}

@@ -21,7 +21,7 @@ from ratmat.cli import main
 from ratmat.experiment import ExperimentConfig, derive_poles
 from ratmat.interp import NodeList
 from ratmat.jets import FactoredPoly
-from ratmat.linalg import matrix_from_json, vector_from_json
+from ratmat.linalg import eig_small, matrix_from_json, vector_from_json
 from ratmat.rom import (
     PoleSpec,
     arnoldi_error_bound,
@@ -89,9 +89,10 @@ def test_bound_matches_library(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
 
     spec = PoleSpec.from_json(spec_obj)
-    V, _ = build_krylov_basis(A, b, spec)
-    model = reduce(A, b, V, spec=spec)
-    res = arnoldi_error_bound(model, A, b, t=0.7)
+    fac = eig_small(A)
+    V, _ = build_krylov_basis(fac, b, spec)
+    model = reduce(fac, b, V, spec=spec)
+    res = arnoldi_error_bound(model, fac, b, t=0.7)
     assert out["e1"] == res.value
     assert out["argmax_s"] == res.argmax_s
     assert out["argmax_mu"] == [res.argmax_mu.real, res.argmax_mu.imag]
@@ -118,9 +119,10 @@ def test_bound_two_sided_dispatch(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
 
     spec = PoleSpec.from_json(spec_obj)
-    V, _ = build_krylov_basis(A, b, spec, d=d)
-    model = reduce(A, b, V, d=d, spec=spec)
-    res = arnoldi_error_bound(model, A, b, d=d, t=1.0)
+    fac = eig_small(A)
+    V, _ = build_krylov_basis(fac, b, spec, d=d)
+    model = reduce(fac, b, V, d=d, spec=spec)
+    res = arnoldi_error_bound(model, fac, b, d=d, t=1.0)
     assert out["e1"] == res.value
 
 
@@ -132,7 +134,7 @@ def test_bound_two_sided_spec_needs_d(tmp_path, capsys, monkeypatch, b):
     def refused(A):
         raise AssertionError("A factorized for a spec that needs d")
 
-    monkeypatch.setattr(cli, "factorize", refused)
+    monkeypatch.setattr(cli, "eig_small", refused)
     spec = {"kappa0": 1, "poles": [{"lambda": [3.0, 0.0], "chi": 1}]}
     assert main(_bound_args(tmp_path, np.diag([-0.5, -1.0 + 1.0j, -0.2]), b, spec)) == 1
     captured = capsys.readouterr()
@@ -586,6 +588,7 @@ def test_run_refuses_an_oversized_grid_before_the_first_draw(tmp_path, capsys,
 
 
 _QUERY_A = np.diag([-1.0, -2.0 + 1j])
+_QUERY_FAC = eig_small(_QUERY_A)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -600,7 +603,7 @@ def test_query_rules_are_the_same_at_every_entry_point(tmp_path, capsys, t, s_sa
     verdicts = []
     for build in (
         lambda: ExperimentConfig(t=t, s_samples=s_samples, mu_samples=mu_samples),
-        lambda: BoundQuery(_QUERY_A, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t,
+        lambda: BoundQuery(_QUERY_FAC, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t,
                            s_samples=s_samples, mu_samples=mu_samples),
     ):
         try:
@@ -623,7 +626,7 @@ def test_t_that_is_no_finite_number_is_refused_alike(t):
     string, None or a bool, as a non-finite one, with one message."""
     for build in (
         lambda: ExperimentConfig(t=t),
-        lambda: BoundQuery(_QUERY_A, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t),
+        lambda: BoundQuery(_QUERY_FAC, NodeList([-1.5]), FactoredPoly((), (), 1.0), t=t),
     ):
         with pytest.raises(ValueError) as refused:
             build()
@@ -681,7 +684,7 @@ def test_bound_refuses_more_vectors_than_the_order(tmp_path, capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("xp bound factorized A before checking the spec")
 
-    monkeypatch.setattr(cli, "factorize", refuse)
+    monkeypatch.setattr(cli, "eig_small", refuse)
     assert main(_bound_args(tmp_path, A, b, spec)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -720,7 +723,7 @@ def test_grid_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the grid's size was checked after O(n^3) work")
 
-    monkeypatch.setattr(cli, "factorize", refuse)
+    monkeypatch.setattr(cli, "eig_small", refuse)
     monkeypatch.setattr(cli, "run_experiment", refuse)
     spec = {"kappa0": 1, "poles": [{"lambda": [x, 0.0]} for x in (3.0, 4.0, 5.0)]}
     bound = _bound_args(tmp_path, np.diag([-1.0, -2 + 1j, -0.5 - 2j, -3 + 0.5j]),

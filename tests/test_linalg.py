@@ -26,7 +26,6 @@ from ratmat.linalg import (
     blas_pin,
     blas_thread_counts,
     eig_small,
-    factorize,
     matrix_from_json,
     mgs_orthonormalize,
     poly_roots,
@@ -110,11 +109,19 @@ def test_eigen_factorization_checks_inverse():
 
 
 def test_eigen_factorization_flags_unusable():
-    # cond ~ 1e13 exceeds the usability threshold; eigenvalues stay valid
+    # cond ~ 1e13 exceeds the usability threshold: every solve is refused,
+    # while the eigenvalues and the products with S stay valid
     S = np.diag([1.0, 1e-13]).astype(complex)
     fac = EigenFactorization(S, [1.0, 2.0])
     assert not fac.usable
     assert np.array_equal(fac.eigenvalues, [1.0, 2.0])
+    assert np.array_equal(fac.times(np.ones(2)), [1.0, 1e-13])
+    message = (r"^unusable eigenbasis: the eigenvector matrix S is singular or too "
+               r"ill-conditioned to solve with \(condition estimate 1\.0e\+13; the "
+               r"matrix is defective or nearly so\)$")
+    for solve in (fac.solve, fac.solve_adjoint):
+        with pytest.raises(ValueError, match=message):
+            solve(np.ones(2))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -134,8 +141,9 @@ def test_solve_and_solve_adjoint_match_numpy(seed, cols):
         assert np.linalg.norm(got - ref) <= tol
 
 
-def test_factorize_refuses_nearly_parallel_and_singular_S():
-    """An S the dense-inverse check refused is refused by its estimate too."""
+def test_solve_refuses_nearly_parallel_and_singular_S():
+    """An S the dense-inverse check refused is refused by its estimate too,
+    at its first solve."""
     rng = np.random.default_rng(29)
     n = 8
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -150,8 +158,9 @@ def test_factorize_refuses_nearly_parallel_and_singular_S():
     for bad in (near, singular):
         fac = EigenFactorization(bad, ev)
         assert not fac.usable and fac.cond_estimate > linalg.UNUSABLE_COND
-        with pytest.raises(ValueError, match="unusable eigenbasis"):
-            factorize(fac)
+        for solve in (fac.solve, fac.solve_adjoint):
+            with pytest.raises(ValueError, match="unusable eigenbasis"):
+                solve(np.ones((n, 2)))
     assert EigenFactorization(singular, ev).cond_estimate == np.inf
 
 
@@ -223,17 +232,15 @@ def test_eig_small_order_limit():
         eig_small(np.ones((2, 3)))
 
 
-def test_factorize_converts_once():
-    fac = EigenFactorization(np.eye(2), [1.0, 2.0])
-    assert factorize(fac) is fac
-    got = factorize(np.diag([1.0, 2.0j]))
-    assert sorted(got.eigenvalues, key=abs) == [1.0, 2.0j]
-    # a Jordan block has no invertible eigenbasis, as matrix or as factors
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+def test_eig_small_of_a_jordan_block_refuses_its_solves():
+    """eig_small is the one way from a matrix to a factorization; a Jordan
+    block has no invertible eigenbasis, so a solve with its S is refused."""
+    got = eig_small(np.diag([1.0, 2.0j]))
+    assert got.usable and sorted(got.eigenvalues, key=abs) == [1.0, 2.0j]
+    jordan = eig_small(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert not jordan.usable
     with pytest.raises(ValueError, match="unusable eigenbasis"):
-        factorize(jordan)
-    with pytest.raises(ValueError, match="unusable eigenbasis"):
-        factorize(eig_small(jordan))
+        jordan.solve(np.ones(2))
 
 
 def test_eig_extreme_hermitian_basic():
